@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -254,8 +255,12 @@ def _cmd_wkb_hierarchy(args):
 
 def _cmd_wkb_solve1d(args):
     a, b = args.interval
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("interval endpoints must be finite")
     if not b > a:
         raise ValueError("interval must satisfy a < b")
+    if args.order < 0:
+        raise ValueError("order must be nonnegative")
     n = args.samples
     pad = max(4, 2 * (args.order + 1))
     if args.sprime_expr is not None:

@@ -25,13 +25,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, EnvelopeMismatch
-from .scalars import ONE, Rat, Scalar, ZERO
+from .scalars import ONE, Rat, Scalar, ZERO, _frac
 
 TermKey = tuple[int, tuple[int, ...], tuple[int, ...]]
-
-
-def _frac(x: Rat | str) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class PhasePolynomial:

@@ -11,6 +11,8 @@ Multiplication is always explicit.  Division is only by nonzero
 rational constants.  Exponents are nonnegative integers except on
 ``lambda``, which admits negative powers.  Bare ``q``/``p`` are only
 valid in dimension one; otherwise indices are 1-based (``q1`` .. ``qn``).
+Parentheses nest at most ``MAX_DEPTH`` levels deep, so hostile input
+fails with a positioned syntax error instead of exhausting the stack.
 The leading unary minus is accepted so canonically printed observables
 (whose first term may carry a negative coefficient) parse back.
 """
@@ -23,6 +25,9 @@ from fractions import Fraction
 from .errors import StarquantError
 from .observables import GaussianObservable, PhasePolynomial
 from .scalars import I, ONE, Rat, Scalar
+
+
+MAX_DEPTH = 100
 
 
 class ObservableParseError(StarquantError):
@@ -100,6 +105,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.dim = dim
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -206,8 +212,14 @@ class _Parser:
             self.advance()
             return self.named(tok)
         if tok.kind == "OP" and tok.text == "(":
+            if self.depth == MAX_DEPTH:
+                raise ObservableSyntaxError(
+                    f"parentheses nested deeper than {MAX_DEPTH} levels",
+                    tok.line, tok.column)
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         self.fail("expected a number, 'i', 'lambda', 'q', 'p' or '('", tok)

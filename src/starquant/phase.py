@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import DimensionMismatch, PhaseMismatch
-from .evolution import ActionData
+from .evolution import ActionData, _compositions
 from .observables import GaussianObservable, PhasePolynomial
 from .scalars import I, Rat, Scalar, i_power
 
@@ -168,15 +168,6 @@ class _SymbolDerivCache:
                 raise AssertionError
         self.cache[key] = val
         return val
-
-
-def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, slots - 1):
-            yield (head,) + tail
 
 
 def _as_symbol(x: "PhaseSymbol | PhasePolynomial | GaussianObservable",

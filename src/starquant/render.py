@@ -145,7 +145,9 @@ def pretty_value(value: IntegralValue) -> str:
     series = pretty_series(value.coeff)
     if value.unit_dim == 0:
         return series
-    return f"({series}) * (pi/{_human(value.unit_rate)})^({value.unit_dim}/2)"
+    rate = value.unit_rate
+    unit = _human(rate) if rate.denominator == 1 else f"({_human(rate)})"
+    return f"({series}) * (pi/{unit})^({value.unit_dim}/2)"
 
 
 # -- JSON builders -----------------------------------------------------

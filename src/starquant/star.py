@@ -14,181 +14,177 @@ and [q, p]_* = i*lambda, which is exactly what the Schrodinger-type
 representation demands when p acts as -i*lambda d/dq.  Any other
 normalization of D or of the prefactor breaks one of those anchors.
 
-M_b is symmetric for even b and antisymmetric for odd b, so the star
-commutator keeps only the odd-b terms, each counted twice.
+Factorized kernel (Groenewold 1946, Moyal 1949).  The sum is
+exp((i*lambda/2) D) with D = sum_k D_k, where the commuting D_k act on
+dimension k alone, and a term q^a p^b exp(-r|q|^2) is a product over
+k as well.  The product of two terms is therefore a product over k of
+cached 1-d kernels: for q^a p^b e^{-r q^2} and q^c p^d e^{-s q^2},
 
-The symmetrization map S = exp(-(i*lambda/2) * Delta) with
+    sum_{n, j} (i*lambda/2)^n/n! C(n,j) (-1)^(n-j) (b)_{n-j} (d)_j
+               P(a, j, r) P(c, n-j, s) p^(b+d-n) e^{-(r+s) q^2},
+
+with falling factorials (x)_m and d^m(q^a e^{-r q^2}) = P(a,m,r) e^{-r q^2}:
+(a)_m q^(a-m) for r = 0, a Hermite-type polynomial for r > 0.  Each
+order spends a momentum derivative, so n <= b + d; without envelopes P
+also vanishes past m = a, so n <= min(a,d) + min(b,c).  M_b(f, g) =
+(-1)^b M_b(g, f): the star commutator keeps the odd total orders,
+doubled, and M_b is the order-b slice.
+
+The symmetrization map S = exp(-(i*lambda/2) Delta) with
 Delta = sum_k d^2/(dq^k dp_k) intertwines the two orderings used by the
 state constructions; its inverse is the conjugate map with the opposite
-sign.  On our tier every series below terminates: each application of D
-spends one momentum derivative on one of the two factors, so b never
-exceeds the combined p-degree, and Delta strictly lowers p-degree.
+sign.  Per dimension it is sum_{m <= b} (-+i*lambda/2)^m/m! (b)_m
+p^(b-m) P(a, m, r).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterator
+from functools import lru_cache
+from math import comb, factorial, perm
 
 from .errors import DimensionMismatch
 from .observables import GaussianObservable, Observable, PhasePolynomial
-from .scalars import I, ONE, Scalar, i_power
+from .scalars import Scalar
+
+_CACHE_SIZE = 2048  # entries per kernel cache
+
+# 1-d table entries (n, x, y, w) stand for w * (i*lambda)^n q^x p^y
+Table = tuple[tuple[int, int, int, Fraction], ...]
 
 
-def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, slots - 1):
-            yield (head,) + tail
-
-
-class _DerivCache:
-    """Incremental mixed partial derivatives of a fixed observable."""
-
-    def __init__(self, f: GaussianObservable):
-        self.n = f.dim
-        zero = (0,) * self.n
-        self.cache: dict[tuple[tuple[int, ...], tuple[int, ...]], GaussianObservable] = {
-            (zero, zero): f}
-
-    def get(self, aq: tuple[int, ...], ap: tuple[int, ...]) -> GaussianObservable:
-        key = (aq, ap)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        for i, e in enumerate(aq):
+@lru_cache(maxsize=_CACHE_SIZE)
+def _hermite(a: int, m: int, rate: Fraction) -> tuple[tuple[int, Fraction], ...]:
+    poly = {a: Fraction(1)}
+    for _ in range(m):
+        # d(c q^e e^{-r q^2}) = (e c q^(e-1) - 2 r c q^(e+1)) e^{-r q^2}
+        nxt: dict[int, Fraction] = {}
+        for e, c in poly.items():
             if e:
-                prev = self.get(aq[:i] + (e - 1,) + aq[i + 1:], ap)
-                val = prev.diff_q(i)
-                break
-        else:
-            for i, e in enumerate(ap):
-                if e:
-                    prev = self.get(aq, ap[:i] + (e - 1,) + ap[i + 1:])
-                    val = prev.diff_p(i)
-                    break
-            else:  # pragma: no cover - root is preloaded
-                raise AssertionError
-        self.cache[key] = val
-        return val
+                nxt[e - 1] = nxt.get(e - 1, 0) + e * c
+            nxt[e + 1] = nxt.get(e + 1, 0) - 2 * rate * c
+        poly = {e: c for e, c in nxt.items() if c}
+    return tuple(sorted(poly.items()))
 
 
-def bidiff_M(f: Observable, g: Observable, b: int) -> GaussianObservable:
-    """The b-th mixed bidifferential term M_b(f, g).
+def _deriv(a: int, m: int, rate: Fraction) -> tuple[tuple[int, Fraction], ...]:
+    """P(a, m, rate) as (exponent, coefficient) pairs."""
+    if rate:
+        return _hermite(a, m, rate)
+    return ((a - m, perm(a, m)),) if m <= a else ()
 
-    Expanding D^b multinomially over the 2n commuting slot operators
-    gives
 
-        M_b(f,g) = sum_{|a|+|c|=b} b!/(a! c!) (-1)^{|c|}
-                   (d_q^a d_p^c f) (d_p^a d_q^c g).
-    """
-    if b < 0:
-        raise ValueError("negative bidifferential order")
-    fo, go = GaussianObservable.of(f), GaussianObservable.of(g)
-    if fo.dim != go.dim:
-        raise DimensionMismatch(f"dim {fo.dim} vs {go.dim}")
-    n = fo.dim
-    if fo.is_zero() or go.is_zero():
-        return GaussianObservable.zero(n)
-    if b == 0:
-        return fo * go
-    df, dg = _DerivCache(fo), _DerivCache(go)
-    fact_b = factorial(b)
-    out = GaussianObservable.zero(n)
-    for combo in _compositions(b, 2 * n):
-        a, c = combo[:n], combo[n:]
-        left = df.get(a, c)
-        if left.is_zero():
-            continue
-        right = dg.get(c, a)
-        if right.is_zero():
-            continue
-        denom = 1
-        for e in combo:
-            denom *= factorial(e)
-        coeff = Scalar.of(Fraction((-1) ** sum(c) * fact_b, denom))
-        out = out + (left * right).scale(coeff)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _star_table(a: int, b: int, r: Fraction, c: int, d: int, s: Fraction) -> Table:
+    acc: dict[tuple[int, int], Fraction] = {}
+    for n in range(b + d + 1):
+        scale = Fraction(1, 2 ** n * factorial(n))
+        for j in range(max(0, n - b), min(n, d) + 1):
+            left, right = _deriv(a, j, r), _deriv(c, n - j, s)
+            if not (left and right):
+                continue
+            w = scale * ((-1) ** (n - j) * comb(n, j) * perm(b, n - j) * perm(d, j))
+            for x, u in left:
+                for y, v in right:
+                    acc[n, x + y] = acc.get((n, x + y), 0) + w * u * v
+    return tuple((n, x, b + d - n, w) for (n, x), w in sorted(acc.items()) if w)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _s_table(a: int, b: int, r: Fraction, sign: int) -> Table:
+    out = []
+    for m in range(b + 1):
+        w = Fraction(sign ** m * perm(b, m), 2 ** m * factorial(m))
+        out += [(m, x, b - m, w * u) for x, u in _deriv(a, m, r)]
+    return tuple(out)
+
+
+def _combine(tables: list[Table]) -> list[tuple[int, tuple[int, ...], tuple[int, ...], Fraction]]:
+    """Product over dimensions of 1-d tables: (n, q-exponents, p-exponents, r)."""
+    out = [(n, (x,), (y,), w) for n, x, y, w in tables[0]]
+    for table in tables[1:]:
+        out = [(n + m, xs + (x,), ys + (y,), w * u)
+               for n, xs, ys, w in out for m, x, y, u in table]
     return out
 
 
-def _order_bound(f: GaussianObservable, g: GaussianObservable) -> int:
-    """Largest b for which M_b(f, g) can be nonzero."""
-    bound = f.degree_p() + g.degree_p()
-    # without an envelope, a factor also dies once all its variables
-    # are differentiated away
-    if f.rate == 0:
-        bound = min(bound, max((sum(a) + sum(p) for (_, a, p) in f.body.terms), default=0))
-    if g.rate == 0:
-        bound = min(bound, max((sum(a) + sum(p) for (_, a, p) in g.body.terms), default=0))
-    return max(bound, 0)
+def _accumulate(acc: dict, key, c: Scalar, power: int, w: Fraction) -> None:
+    """acc[key] += c * i^power * w, with the value kept as [re, im]."""
+    re, im = ((c.re, c.im), (-c.im, c.re), (-c.re, -c.im), (c.im, -c.re))[power % 4]
+    slot = acc.get(key)
+    if slot is None:
+        acc[key] = [re * w, im * w]
+    else:
+        slot[0] += re * w
+        slot[1] += im * w
+
+
+def _moyal(f: Observable, g: Observable, order: int | None = None,
+           odd_only: bool = False) -> GaussianObservable:
+    """Sum of the kernel over all pairs of terms.
+
+    With ``order`` set, only that total order is kept and rescaled to
+    M_order (no lambda shift); with ``odd_only``, only odd orders are
+    kept and doubled.  Otherwise the result is the full star product.
+    """
+    fo, go = GaussianObservable.of(f), GaussianObservable.of(g)
+    if fo.dim != go.dim:
+        raise DimensionMismatch(f"dim {fo.dim} vs {go.dim}")
+    dim, r, s = fo.dim, fo.rate, go.rate
+    acc: dict = {}
+    for (kf, af, bf), cf in fo.body.terms.items():
+        for (kg, ag, bg), cg in go.body.terms.items():
+            c = cf * cg
+            terms = _combine([_star_table(af[k], bf[k], r, ag[k], bg[k], s)
+                              for k in range(dim)])
+            for n, xs, ys, w in terms:
+                if order is not None:
+                    if n == order:
+                        _accumulate(acc, (kf + kg, xs, ys), c, 0,
+                                    w * (2 ** n * factorial(n)))
+                elif not odd_only:
+                    _accumulate(acc, (kf + kg + n, xs, ys), c, n, w)
+                elif n % 2:
+                    _accumulate(acc, (kf + kg + n, xs, ys), c, n, 2 * w)
+    body = PhasePolynomial(dim, {key: Scalar(re, im) for key, (re, im) in acc.items()})
+    return GaussianObservable(body, r + s)
+
+
+def bidiff_M(f: Observable, g: Observable, b: int) -> GaussianObservable:
+    """M_b(f, g): the order-b slice of the kernel times b! (2/i)^b."""
+    if b < 0:
+        raise ValueError("negative bidifferential order")
+    return _moyal(f, g, order=b)
 
 
 def star(f: Observable, g: Observable) -> GaussianObservable:
     """Weyl star product f * g; exact and terminating on this tier."""
-    fo, go = GaussianObservable.of(f), GaussianObservable.of(g)
-    if fo.dim != go.dim:
-        raise DimensionMismatch(f"dim {fo.dim} vs {go.dim}")
-    if fo.is_zero() or go.is_zero():
-        return GaussianObservable.zero(fo.dim)
-    out = fo * go
-    for b in range(1, _order_bound(fo, go) + 1):
-        term = bidiff_M(fo, go, b)
-        if term.is_zero():
-            continue
-        coeff = i_power(b) * Fraction(1, 2 ** b * factorial(b))
-        out = out + term.scale(coeff).mul_lambda(b)
-    return out
+    return _moyal(f, g)
 
 
 def star_commutator(f: Observable, g: Observable) -> GaussianObservable:
-    """[f, g]_* computed from the odd-b terms only.
+    """[f, g]_* computed from the odd-order terms only.
 
     M_b(f, g) = (-1)^b M_b(g, f), so even orders cancel in the
     commutator and odd orders double.
     """
-    fo, go = GaussianObservable.of(f), GaussianObservable.of(g)
-    if fo.dim != go.dim:
-        raise DimensionMismatch(f"dim {fo.dim} vs {go.dim}")
-    out = GaussianObservable.zero(fo.dim)
-    if fo.is_zero() or go.is_zero():
-        return out
-    for b in range(1, _order_bound(fo, go) + 1, 2):
-        term = bidiff_M(fo, go, b)
-        if term.is_zero():
-            continue
-        coeff = i_power(b) * Fraction(2, 2 ** b * factorial(b))
-        out = out + term.scale(coeff).mul_lambda(b)
-    return out
+    return _moyal(f, g, odd_only=True)
 
 
 def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
     """Apply S = exp(-(i*lambda/2) Delta) (forward) or its conjugate inverse.
 
-    Delta = sum_k d^2/(dq^k dp_k) lowers p-degree, so the exponential
-    series terminates.  The backward direction flips the sign in the
-    exponent and is both the inverse and the complex conjugate of the
-    forward map.
+    The backward direction flips the sign in the exponent and is both
+    the inverse and the complex conjugate of the forward map.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     obs = GaussianObservable.of(f)
-    sign_i = -I if direction == "forward" else I
-    out = obs
-    term = obs
-    phase = ONE
-    m = 0
-    while True:
-        m += 1
-        nxt = GaussianObservable.zero(obs.dim)
-        for k in range(obs.dim):
-            nxt = nxt + term.diff_q(k).diff_p(k)
-        if nxt.is_zero():
-            break
-        term = nxt
-        phase = phase * sign_i
-        coeff = phase * Fraction(1, 2 ** m * factorial(m))
-        out = out + term.scale(coeff).mul_lambda(m)
-    return out
+    sign = -1 if direction == "forward" else 1
+    acc: dict = {}
+    for (k, alpha, beta), c in obs.body.terms.items():
+        for n, xs, ys, w in _combine([_s_table(alpha[j], beta[j], obs.rate, sign)
+                                      for j in range(obs.dim)]):
+            _accumulate(acc, (k + n, xs, ys), c, n, w)
+    body = PhasePolynomial(obs.dim, {key: Scalar(re, im) for key, (re, im) in acc.items()})
+    return GaussianObservable(body, obs.rate)

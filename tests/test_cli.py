@@ -55,6 +55,19 @@ def test_parse_errors_exit_2_with_positions(capsys):
     assert (body["line"], body["column"]) == (1, 3)
 
 
+def test_deep_nesting_exits_2_with_position(capsys):
+    code, out, err = run(capsys, "star", "(" * 3000 + "q" + ")" * 3000, "p", "--json")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    body = json.loads(lines[0])
+    assert body["error"] == "ObservableSyntaxError"
+    assert (body["line"], body["column"]) == (1, 101)
+    # nesting up to the limit still parses
+    code, out, _ = run(capsys, "star", "(" * 100 + "q" + ")" * 100, "p")
+    assert (code, out) == (0, "q*p + i/2*lambda\n")
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "star")
     assert code == 2
@@ -256,3 +269,24 @@ def test_solve1d_file_input(tmp_path, capsys):
                        "--order", "0", "--bc", "1")
     assert code == 2
     assert "Error" in json.loads(err)["error"] or json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("interval", [("1", "inf"), ("nan", "2")])
+def test_solve1d_rejects_nonfinite_interval(capsys, interval):
+    code, out, err = run(capsys, "wkb", "solve1d", "--sprime-expr", "q",
+                         "--interval", *interval, "--samples", "256",
+                         "--order", "0", "--bc", "1", "--json")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+
+
+def test_solve1d_rejects_negative_order(capsys):
+    code, out, err = run(capsys, "wkb", "solve1d", "--sprime-expr", "q",
+                         "--interval", "1", "2", "--samples", "256",
+                         "--order", "-1", "--bc", "1", "--json")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"

@@ -71,6 +71,12 @@ def test_pretty_series_and_value():
     assert pretty_value(scalar_only) == "3"
 
 
+def test_pretty_value_parenthesizes_a_fractional_rate():
+    s = LaurentSeries.from_scalar(1)
+    assert pretty_value(IntegralValue(s, Fraction(1, 2), 1)) == "(1) * (pi/(1/2))^(1/2)"
+    assert pretty_value(IntegralValue(s, 3, 2)) == "(1) * (pi/3)^(2/2)"
+
+
 def test_observable_json_schema():
     obs = GaussianObservable(Q * P + PhasePolynomial.lam(1, 1, Scalar(Fraction(0), Fraction(1, 2))))
     assert observable_json(obs) == {

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial, perm
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starquant import (EnvelopeMismatch, GaussianObservable, PhasePolynomial,
-                       Scalar, bidiff_M, conjugate, s_map, star, star_commutator)
+                       Scalar, bidiff_M, conjugate, i_power, s_map, star,
+                       star_commutator)
 
 from conftest import observables, polynomials
-from oracles import bopp_star
+from oracles import (bopp_star, reference_bidiff_M, reference_order_bound,
+                     reference_s_map, reference_star, reference_star_commutator)
 
 Q = PhasePolynomial.coordinate_q(0, 1)
 P = PhasePolynomial.coordinate_p(0, 1)
@@ -147,3 +151,52 @@ def test_s_map_round_trip_and_conjugation(f):
     assert s_map(s_map(f, "forward"), "backward") == f
     # S-bar = S^{-1}: conjugation swaps the direction
     assert conjugate(s_map(f, "forward")) == s_map(conjugate(f), "backward")
+
+
+# -- the factorized kernel against the generic expansion it replaced ---
+
+RATES = st.sampled_from([0, 1, 2])
+
+
+@st.composite
+def enveloped(draw, dim: int):
+    # higher dimensions get lower degrees so the reference route stays quick
+    return draw(observables(dim, draw(RATES), max_terms=2, max_degree=4 - dim,
+                            min_lambda=-1, max_lambda=1))
+
+
+@st.composite
+def enveloped_pairs(draw):
+    dim = draw(st.integers(1, 3))
+    return draw(enveloped(dim)), draw(enveloped(dim))
+
+
+@given(enveloped_pairs())
+@settings(max_examples=40)
+def test_kernel_star_and_commutator_match_reference(pair):
+    f, g = pair
+    assert star(f, g) == reference_star(f, g)
+    assert star_commutator(f, g) == reference_star_commutator(f, g)
+
+
+@given(enveloped_pairs())
+@settings(max_examples=40)
+def test_kernel_bidiff_slices_match_reference(pair):
+    f, g = pair
+    for b in range(reference_order_bound(f, g) + 2):
+        assert bidiff_M(f, g, b) == reference_bidiff_M(f, g, b)
+
+
+@given(st.integers(1, 3).flatmap(enveloped))
+@settings(max_examples=40)
+def test_kernel_s_map_matches_reference(f):
+    for direction in ("forward", "backward"):
+        assert s_map(f, direction) == reference_s_map(f, direction)
+
+
+def test_large_monomial_product_closed_form():
+    a = d = 60
+    expect = {(n, (a - n,), (d - n,)): i_power(n) * Fraction(perm(a, n) * perm(d, n),
+                                                              2 ** n * factorial(n))
+              for n in range(min(a, d) + 1)}
+    assert star(obs(Q ** a), obs(P ** d)) == obs(PhasePolynomial(1, expect))
