@@ -33,8 +33,13 @@ from .parsing import (ObservableParseError, parse_complex_constant,
                       parse_observable, parse_rational)
 from .phase import conjugate_by_phase
 from .star import s_map, star, star_commutator
-from .wkb import (GridFunction1D, WKBSolution, eigenproblem_hierarchy,
-                  solve_transport_1d, transport_residuals_1d)
+from .wkb import (MIN_SAMPLES, GridFunction1D, WKBSolution, _eval_base_poly,
+                  eigenproblem_hierarchy, solve_transport_1d, transport_residuals_1d)
+
+# Largest `wkb solve1d --samples`: past it the 4th-order second-derivative
+# stencil's roundoff, about eps/h^2 on a unit interval, exceeds 1e-4, and
+# the arrays and the JSON output grow without bound.
+MAX_SAMPLES = 2 ** 20
 
 _PRECONDITION_ERRORS = (HamiltonJacobiViolated, TurningPointError, NonIntegrable,
                         NotInIdeal, EnvelopeMismatch, GridTooCoarse, PhaseMismatch,
@@ -262,13 +267,19 @@ def _cmd_wkb_solve1d(args):
     if args.order < 0:
         raise ValueError("order must be nonnegative")
     n = args.samples
+    if n < MIN_SAMPLES:
+        raise GridTooCoarse(f"need at least {MIN_SAMPLES} samples, got {n}")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"at most {MAX_SAMPLES} samples, got {n}")
     pad = max(4, 2 * (args.order + 1))
     if args.sprime_expr is not None:
         poly = parse_observable(args.sprime_expr, 1, 0).body
         if not poly.is_base_only() or not poly.is_lambda_free() or not poly.is_real():
             raise ValueError("S' must be a real polynomial in q alone")
-        sprime = GridFunction1D.from_callable(
-            lambda x: _poly_at(poly, x), a, b, n, pad)
+        # overflow gives inf or nan samples, which the solver refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            sprime = GridFunction1D.from_callable(
+                lambda x: _eval_base_poly(poly, x).real, a, b, n, pad)
     else:
         data = np.loadtxt(args.sprime_file, dtype=float)
         if data.ndim != 2 or data.shape[1] != 2:
@@ -294,13 +305,6 @@ def _cmd_wkb_solve1d(args):
     lines.append(f"{_label('residual check:')} "
                  f"{'passed' if report.passed else 'FAILED'} at tol {report.tol:g}")
     return payload, "\n".join(lines)
-
-
-def _poly_at(poly: PhasePolynomial, x: float) -> float:
-    total = Fraction(0)
-    for (k, alpha, beta), c in poly.terms.items():
-        total += c.re * Fraction(x) ** alpha[0]
-    return float(total)
 
 
 # -- parser construction -----------------------------------------------

@@ -197,8 +197,8 @@ def grid_json(grid: "GridFunction1D") -> dict:
         "b": grid.b,
         "n": grid.n,
         "pad": grid.pad,
-        "re": [float(v) for v in grid.values.real],
-        "im": [float(v) for v in grid.values.imag],
+        "re": grid.values.real.tolist(),
+        "im": grid.values.imag.tolist(),
     }
 
 

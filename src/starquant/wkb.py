@@ -26,18 +26,23 @@ closed form,
 which ``solve_transport_1d`` evaluates on a uniform grid with ghost
 padding: fourth-order centered stencils for derivatives and composite
 Simpson for the running integral.  Derivatives shrink the usable pad,
-so grid functions carry their own pad width.
+so grid functions carry their own pad width.  Grids are built with one
+vectorized numpy pass: ``GridFunction1D.from_callable`` calls its
+function once on the whole array of points, and a polynomial S' is
+evaluated in floating point by ``_eval_base_poly``, to within a few
+ulps of sum_k |c_k| |q|^k.  scipy is loaded on first use only, by the
+running integral and by spline resampling, so importing the package
+stays cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .errors import (DimensionMismatch, GridTooCoarse, HamiltonJacobiViolated,
                      TurningPointError)
@@ -188,11 +193,12 @@ def fornberg_weights(order: int, offsets: Sequence[int]) -> list[Fraction]:
     return [delta[npts - 1][j][m] for j in range(npts)]
 
 
-def _central_weights(order: int) -> tuple[int, np.ndarray]:
-    """Radius and float weights of the 4th-order centered stencil."""
+@lru_cache(maxsize=None)
+def _central_weights(order: int) -> tuple[int, tuple[float, ...]]:
+    """Radius and float weights of the 4th-order centered stencil (cached)."""
     radius = (order + 3) // 2
     weights = fornberg_weights(order, range(-radius, radius + 1))
-    return radius, np.array([float(w) for w in weights])
+    return radius, tuple(float(w) for w in weights)
 
 
 @dataclass
@@ -232,18 +238,23 @@ class GridFunction1D:
 
     @staticmethod
     def from_callable(fn, a: float, b: float, n: int, pad: int) -> "GridFunction1D":
+        """Sample a vectorized ``fn`` on the grid: one call on the point array."""
         h = (b - a) / (n - 1)
         pts = a + h * np.arange(-pad, n + pad)
-        return GridFunction1D(a, b, n, pad, np.asarray([fn(x) for x in pts]))
+        return GridFunction1D(a, b, n, pad, fn(pts))
 
     @staticmethod
     def from_samples(qs: Sequence[float], vs: Sequence[float], a: float, b: float,
                      n: int, pad: int) -> "GridFunction1D":
         """Cubic resampling of scattered (q, value) data onto the grid."""
+        from scipy.interpolate import CubicSpline
+
         qs = np.asarray(qs, dtype=float)
         vs = np.asarray(vs, dtype=float)
         if len(qs) != len(vs) or len(qs) < 4:
             raise ValueError("need at least four (q, value) samples")
+        if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(vs))):
+            raise ValueError("samples must be finite")
         order = np.argsort(qs)
         qs, vs = qs[order], vs[order]
         if np.any(np.diff(qs) <= 0):
@@ -301,6 +312,9 @@ def solve_transport_1d(sprime: GridFunction1D, phi_prev: GridFunction1D | None,
     if sprime.n < MIN_SAMPLES:
         raise GridTooCoarse(f"need at least {MIN_SAMPLES} samples, got {sprime.n}")
     sp = sprime.values.real
+    if not np.all(np.isfinite(sp)):
+        worst = sprime.points()[int(np.argmin(np.isfinite(sp)))]
+        raise ValueError(f"S' is not finite near q = {worst:.6g}")
     if np.any(sp <= 0):
         worst = sprime.points()[int(np.argmin(sp))]
         raise TurningPointError(f"S' is not strictly positive near q = {worst:.6g}")
@@ -312,6 +326,8 @@ def solve_transport_1d(sprime: GridFunction1D, phi_prev: GridFunction1D | None,
 
     if not sprime.same_grid(phi_prev):
         raise ValueError("S' and the previous amplitude live on different grids")
+    from scipy.integrate import cumulative_simpson
+
     d2 = phi_prev.derivative(2)
     pad = min(sprime.pad, d2.pad)
     d2 = d2.shrink_to(pad)

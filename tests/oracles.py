@@ -13,6 +13,9 @@ derivation, so agreement is evidence rather than tautology:
   factorized kernel replaced: D^b expanded multinomially over the 2n
   slot operators with memoized mixed partial derivatives, and S as the
   iterated Laplacian-type series.  They share no code with the kernel.
+* ``exact_poly_at`` evaluates a real q-polynomial at a float point in
+  exact rational arithmetic, the reference for the grid tier's
+  floating-point evaluator.
 """
 
 from __future__ import annotations
@@ -174,3 +177,11 @@ def reference_s_map(f, direction: str = "forward") -> GaussianObservable:
         phase = phase * sign_i
         coeff = phase * Fraction(1, 2 ** m * factorial(m))
         out = out + term.scale(coeff).mul_lambda(m)
+
+
+def exact_poly_at(poly: PhasePolynomial, x: float) -> Fraction:
+    """The real q-polynomial ``poly`` at the float ``x``, with no rounding."""
+    total = Fraction(0)
+    for (_, alpha, _), c in poly.terms.items():
+        total += c.re * Fraction(x) ** alpha[0]
+    return total

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from starquant.cli import main
+from starquant import GridFunction1D
+from starquant.cli import MAX_SAMPLES, main
 
 STAR_QP_JSON = ('{"dim": 1, "envelope": "0/1", "terms": ['
                 '{"l": 0, "q": [1], "p": [1], "re": "1/1", "im": "0/1"}, '
@@ -290,3 +291,48 @@ def test_solve1d_rejects_negative_order(capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ValueError"
+
+
+def assert_one_error_line(code, out, err, error):
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+
+
+@pytest.mark.parametrize("samples, error", [
+    ("1", "GridTooCoarse"), ("0", "GridTooCoarse"),
+    (str(MAX_SAMPLES + 1), "ValueError")])
+def test_solve1d_rejects_samples_out_of_range(capsys, monkeypatch, samples, error):
+    def no_grid(*args):
+        raise AssertionError("grid built for an out-of-range sample count")
+
+    monkeypatch.setattr(GridFunction1D, "from_callable", staticmethod(no_grid))
+    code, out, err = run(capsys, "wkb", "solve1d", "--sprime-expr", "q",
+                         "--interval", "1", "2", "--samples", samples,
+                         "--order", "0", "--bc", "1", "--json")
+    assert_one_error_line(code, out, err, error)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve1d_nonfinite_sprime_exits_3(capsys):
+    code, out, err = run(capsys, "wkb", "solve1d", "--sprime-expr", "q^400",
+                         "--interval", "1", "10", "--samples", "64",
+                         "--order", "0", "--bc", "1", "--json")
+    assert_one_error_line(code, out, err, "ValueError")
+    assert "not finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("column, bad", [(1, "nan"), (1, "-inf"), (0, "nan"), (0, "inf")])
+def test_solve1d_nonfinite_file_rows_exit_3(tmp_path, capsys, column, bad):
+    qs = np.linspace(-0.25, 1.25, 20)
+    rows = [[repr(q), repr(float(np.sqrt(1.0 + q * q)))] for q in qs]
+    for row in rows[5], rows[9]:
+        row[column] = bad
+    path = tmp_path / "sprime.dat"
+    path.write_text("".join(" ".join(row) + "\n" for row in rows))
+    code, out, err = run(capsys, "wkb", "solve1d", "--sprime-file", str(path),
+                         "--interval", "0", "1", "--samples", "64",
+                         "--order", "1", "--bc", "1", "--json")
+    assert_one_error_line(code, out, err, "ValueError")

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
-from starquant import (ActionData, GaussianObservable, IntegralValue,
-                       LaurentSeries, PhasePolynomial, Scalar,
+import numpy as np
+
+from starquant import (ActionData, GaussianObservable, GridFunction1D,
+                       IntegralValue, LaurentSeries, PhasePolynomial, Scalar,
                        SchrodingerOperator, eigenproblem_hierarchy, pi0, star)
-from starquant.render import (dumps, frac_str, observable_json, operator_json,
-                              pretty_observable, pretty_operator,
+from starquant.render import (dumps, frac_str, grid_json, observable_json,
+                              operator_json, pretty_observable, pretty_operator,
                               pretty_polynomial, pretty_series, pretty_value,
                               value_json)
 
@@ -117,3 +120,16 @@ def test_hierarchy_operators_render_like_the_transport_equation():
     hier = eigenproblem_hierarchy(ham, s, 1, 3)
     assert pretty_operator(hier.order(1)) == "-i - 2*i*q*d"
     assert pretty_operator(hier.order(2)) == "-d^2"
+
+
+def test_grid_json_bytes_match_per_sample_floats():
+    re = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310,
+                   1.7976931348623157e308, -1e300, 1 / 3])
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, re[::-1]
+    grid = GridFunction1D(0.0, 1.0, len(re), 0, values)
+    assert np.signbit(grid.values.real[0]) and np.signbit(grid.values.imag[-1])
+    old = {"a": 0.0, "b": 1.0, "n": len(re), "pad": 0,
+           "re": [float(v) for v in grid.values.real],
+           "im": [float(v) for v in grid.values.imag]}
+    assert json.dumps(grid_json(grid)) == json.dumps(old)

@@ -3,9 +3,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import starquant
 from starquant import (ActionData, DimensionMismatch, GridFunction1D,
                        GridTooCoarse, HamiltonJacobiViolated, PhasePolynomial,
                        Scalar, SchrodingerOperator, TurningPointError,
@@ -13,6 +21,10 @@ from starquant import (ActionData, DimensionMismatch, GridFunction1D,
                        hj_residual, physical_transport_equation,
                        solve_transport_1d, transport_residuals_1d,
                        verify_eigen_residual)
+from starquant.wkb import _central_weights, _eval_base_poly
+
+from conftest import base_polynomials, real_scalars
+from oracles import exact_poly_at
 
 Q = PhasePolynomial.coordinate_q(0, 1)
 P = PhasePolynomial.coordinate_p(0, 1)
@@ -154,6 +166,48 @@ def test_stencil_derivatives_converge():
         np.linspace(0.0, 1.0, 201)))) < 1e-6
     with pytest.raises(ValueError):
         d1.derivative(2).derivative(2)  # pad exhausted
+
+
+def test_stencil_weights_are_cached_and_immutable():
+    g = GridFunction1D.from_callable(np.sin, 0.0, 1.0, 201, 4)
+    assert g.derivative(2).values.tobytes() == g.derivative(2).values.tobytes()
+    radius, weights = _central_weights(2)
+    assert _central_weights(2)[1] is weights
+    exact = fornberg_weights(2, range(-radius, radius + 1))
+    assert weights == tuple(float(w) for w in exact)
+    with pytest.raises(TypeError):
+        weights[0] = 1.0
+
+
+# kept clear of underflow, where no relative error bound holds
+grid_points = st.one_of(st.just(0.0), st.floats(2.0 ** -64, 4.0),
+                        st.floats(-4.0, -2.0 ** -64))
+
+
+@given(base_polynomials(max_terms=7, max_degree=6, coeffs=real_scalars),
+       st.lists(grid_points, min_size=1, max_size=16))
+def test_eval_base_poly_matches_exact_evaluation(poly, xs):
+    fast = _eval_base_poly(poly, np.array(xs)).real
+    eps = Fraction(float(np.finfo(float).eps))
+    for x, got in zip(xs, fast):
+        scale = sum(abs(c.re) * abs(Fraction(x)) ** alpha[0]
+                    for (_, alpha, _), c in poly.terms.items())
+        assert abs(Fraction(float(got)) - exact_poly_at(poly, x)) <= (
+            (len(poly.terms) + 2) * eps * scale)
+
+
+def test_linear_sprime_grid_is_exact():
+    g = GridFunction1D.from_callable(lambda x: _eval_base_poly(Q, x).real,
+                                     1.0, 2.0, 4096, 4)
+    assert g.values.real.tolist() == [float(exact_poly_at(Q, x)) for x in g.points()]
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(starquant.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run(
+        [sys.executable, "-c", "import starquant, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True, timeout=60)
 
 
 def test_from_samples_reproduces_cubics():
