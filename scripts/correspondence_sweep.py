@@ -12,23 +12,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from starquant import GaussianObservable, PhasePolynomial, pi0, weyl_symmetrize_oracle
-
-
-def monomials(n: int, top: int):
-    def exponents(total, slots):
-        if slots == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in exponents(total - head, slots - 1):
-                yield (head,) + rest
-
-    for degree in range(top + 1):
-        for qdeg in range(degree + 1):
-            for alpha in exponents(qdeg, n):
-                for beta in exponents(degree - qdeg, n):
-                    yield alpha, beta
+from starquant import weyl_check
 
 
 def main() -> None:
@@ -37,14 +21,8 @@ def main() -> None:
     parser.add_argument("--max-degree", type=int, default=6)
     args = parser.parse_args()
 
-    checked = 0
-    mismatched = []
     start = time.perf_counter()
-    for alpha, beta in monomials(args.dim, args.max_degree):
-        f = GaussianObservable(PhasePolynomial.monomial(args.dim, 0, alpha, beta))
-        if pi0(f) != weyl_symmetrize_oracle(alpha, beta):
-            mismatched.append((alpha, beta))
-        checked += 1
+    checked, mismatched = weyl_check(args.dim, args.max_degree)
     elapsed = time.perf_counter() - start
 
     print(f"dim {args.dim}, total degree <= {args.max_degree}: "

@@ -13,10 +13,10 @@ from .evolution import (ActionData, evolve, evolve_t_polynomial, fiber_flow,
                         gelfand_member1, omega1, pi1, t_operator_apply)
 from .gns import (SchrodingerOperator, gaussian_moment, gelfand_member0, inner0,
                   inner0_factorized, momenta_decompose, omega0, op_apply_base,
-                  op_compose, pi0, project_H0, weyl_symmetrize_oracle)
+                  op_compose, pi0, project_H0, weyl_check, weyl_symmetrize_oracle)
 from .observables import (GaussianObservable, Observable, PhasePolynomial,
-                          conjugate, differentiate, poly_arith,
-                          restrict_zero_section, substitute_momenta)
+                          conjugate, differentiate, restrict_zero_section,
+                          substitute_momenta)
 from .parsing import (IndexOutOfRange, NegativeExponent, ObservableParseError,
                       ObservableSyntaxError, parse_observable)
 from .phase import PhaseSymbol, conjugate_by_phase, phase_star
@@ -43,8 +43,9 @@ __all__ = [
     "gelfand_member0", "gelfand_member1", "hj_residual", "i_power", "inner0",
     "inner0_factorized", "laurent_is_positive", "momenta_decompose", "omega0",
     "omega1", "op_apply_base", "op_compose", "parse_observable", "phase_star",
-    "physical_transport_equation", "pi0", "pi1", "poly_arith", "project_H0",
+    "physical_transport_equation", "pi0", "pi1", "project_H0",
     "restrict_zero_section", "s_map", "solve_transport_1d", "star",
     "star_commutator", "substitute_momenta", "t_operator_apply",
-    "transport_residuals_1d", "verify_eigen_residual", "weyl_symmetrize_oracle",
+    "transport_residuals_1d", "verify_eigen_residual", "weyl_check",
+    "weyl_symmetrize_oracle",
 ]

@@ -27,7 +27,7 @@ from .errors import (DimensionMismatch, EnvelopeMismatch, GridTooCoarse,
                      PhaseMismatch, TurningPointError)
 from .evolution import ActionData, evolve, gelfand_member1, omega1, pi1
 from .gns import (gelfand_member0, inner0, momenta_decompose, omega0, pi0,
-                  project_H0, weyl_symmetrize_oracle)
+                  project_H0, weyl_check)
 from .observables import GaussianObservable, PhasePolynomial
 from .parsing import (ObservableParseError, parse_complex_constant,
                       parse_observable, parse_rational)
@@ -160,38 +160,13 @@ def _cmd_pi0(args):
 
 
 def _cmd_weyl_check(args):
-    if args.dim < 1:
-        raise ValueError("dimension must be at least 1")
-    n, top = args.dim, args.max_degree
-    checked = 0
-    mismatches = []
-    for alpha, beta in _monomials_upto(n, top):
-        f = GaussianObservable(PhasePolynomial.monomial(n, 0, alpha, beta))
-        lhs = pi0(f)
-        rhs = weyl_symmetrize_oracle(alpha, beta)
-        checked += 1
-        if lhs != rhs:
-            mismatches.append({"q": list(alpha), "p": list(beta)})
-    payload = {"dim": n, "max_degree": top, "checked": checked,
-               "mismatches": mismatches, "all_equal": not mismatches}
+    checked, mismatches = weyl_check(args.dim, args.max_degree)
+    payload = {"dim": args.dim, "max_degree": args.max_degree, "checked": checked,
+               "mismatches": [{"q": list(alpha), "p": list(beta)}
+                              for alpha, beta in mismatches],
+               "all_equal": not mismatches}
     verdict = "all equal" if not mismatches else f"{len(mismatches)} mismatches"
     return payload, f"{_label('weyl check:')} {checked} monomials, {verdict}"
-
-
-def _monomials_upto(n: int, top: int):
-    def exponents(total, slots):
-        if slots == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in exponents(total - head, slots - 1):
-                yield (head,) + rest
-
-    for degree in range(top + 1):
-        for qdeg in range(degree + 1):
-            for alpha in exponents(qdeg, n):
-                for beta in exponents(degree - qdeg, n):
-                    yield alpha, beta
 
 
 def _cmd_evolve(args):
@@ -266,6 +241,8 @@ def _cmd_wkb_solve1d(args):
         raise ValueError("interval must satisfy a < b")
     if args.order < 0:
         raise ValueError("order must be nonnegative")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError("tolerance must be finite and nonnegative")
     n = args.samples
     if n < MIN_SAMPLES:
         raise GridTooCoarse(f"need at least {MIN_SAMPLES} samples, got {n}")
@@ -285,15 +262,25 @@ def _cmd_wkb_solve1d(args):
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError("S' file must have two columns: q and S'(q)")
         sprime = GridFunction1D.from_samples(data[:, 0], data[:, 1], a, b, n, pad)
-    boundary = complex(parse_complex_constant(args.bc))
+    try:
+        boundary = complex(parse_complex_constant(args.bc))
+    except OverflowError:
+        raise ValueError("boundary value is outside the float range") from None
     orders = []
     prev = None
-    for r in range(args.order + 1):
-        phi = solve_transport_1d(sprime, prev, boundary if r == 0 else 0.0)
-        orders.append(phi)
-        prev = phi
+    # a grid step too small for the stencils (h^order underflows) gives
+    # inf or nan, which is refused below instead of warned about
+    with np.errstate(all="ignore"):
+        for r in range(args.order + 1):
+            phi = solve_transport_1d(sprime, prev, boundary if r == 0 else 0.0)
+            orders.append(phi)
+            prev = phi
+        report = transport_residuals_1d(sprime, orders, args.tol)
+    if not (all(np.all(np.isfinite(phi.values)) for phi in orders)
+            and np.all(np.isfinite(report.norms))):
+        raise ValueError("amplitudes or residuals are not finite; "
+                         "the interval may be too narrow for the grid")
     solution = WKBSolution(sprime, orders)
-    report = transport_residuals_1d(sprime, orders, args.tol)
     payload = render.solution_json(solution)
     payload["residuals"] = {"norms": report.norms, "tol": report.tol,
                             "passed": report.passed}

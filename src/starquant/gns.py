@@ -13,19 +13,20 @@ q -> (q, 0) of T*R^n.  Everything it induces is computed exactly here:
   member into left star-multiples of the momenta.
 * ``pi0`` realizes observables as differential operators in q acting on
   the quotient; ``weyl_symmetrize_oracle`` provides the independent
-  operator-ordering average that pi0 must reproduce on monomials.
+  operator-ordering average that pi0 must reproduce on monomials, and
+  ``weyl_check`` sweeps that comparison over all monomials up to a degree.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, EnvelopeMismatch, NonIntegrable, NotInIdeal
-from .observables import GaussianObservable, Observable, PhasePolynomial
-from .scalars import I, IntegralValue, LaurentSeries, ONE, Rat, Scalar, ZERO, i_power
+from .observables import GaussianObservable, Observable, PhasePolynomial, _compositions
+from .scalars import I, IntegralValue, LaurentSeries, Rat, Scalar, ZERO, i_power
 from .star import s_map, star
 
 OpKey = tuple[int, tuple[int, ...]]
@@ -226,11 +227,6 @@ class SchrodingerOperator:
         return {k: SchrodingerOperator(self.dim, t, self.rate)
                 for k, t in sorted(buckets.items())}
 
-    def max_derivative_order(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(gamma) for (_, gamma) in self.terms)
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -357,3 +353,25 @@ def weyl_symmetrize_oracle(alpha: Sequence[int], beta: Sequence[int]) -> Schrodi
             composed = op_compose(composed, elementary(*letter))
         acc = acc + composed
     return acc.scale(Fraction(1, len(words)))
+
+
+def weyl_check(dim: int, max_degree: int
+               ) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Compare pi0 with the symmetrized words on every monomial q^alpha p^beta.
+
+    Sweeps all monomials of total degree at most ``max_degree`` in
+    increasing degree and returns the number checked together with the
+    (alpha, beta) pairs where the two operators differ.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    checked = 0
+    mismatches = []
+    for degree in range(max_degree + 1):
+        for combo in _compositions(degree, 2 * dim):
+            alpha, beta = combo[:dim], combo[dim:]
+            f = GaussianObservable(PhasePolynomial.monomial(dim, 0, alpha, beta))
+            checked += 1
+            if pi0(f) != weyl_symmetrize_oracle(alpha, beta):
+                mismatches.append((alpha, beta))
+    return checked, mismatches

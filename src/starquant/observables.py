@@ -22,12 +22,22 @@ Everything here is pure: no method mutates its receiver.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, EnvelopeMismatch
 from .scalars import ONE, Rat, Scalar, ZERO, _frac
 
 TermKey = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
+def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``slots`` nonnegative ints summing to ``total``."""
+    if slots == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, slots - 1):
+            yield (head,) + tail
 
 
 class PhasePolynomial:
@@ -365,8 +375,7 @@ class GaussianObservable:
         return self.scale(other)
 
     def scale(self, c: Scalar | Rat) -> "GaussianObservable":
-        body = self.body.scale(c)
-        return GaussianObservable(body, 0 if body.is_zero() else self.rate)
+        return GaussianObservable(self.body.scale(c), self.rate)
 
     def mul_lambda(self, orders: int) -> "GaussianObservable":
         return GaussianObservable(self.body.mul_lambda(orders), self.rate)
@@ -377,18 +386,16 @@ class GaussianObservable:
         if self.rate:
             qi = PhasePolynomial.coordinate_q(index, self.dim)
             body = body - (qi * self.body).scale(2 * self.rate)
-        return GaussianObservable(body, 0 if body.is_zero() else self.rate)
+        return GaussianObservable(body, self.rate)
 
     def diff_p(self, index: int) -> "GaussianObservable":
-        body = self.body.diff_p(index)
-        return GaussianObservable(body, 0 if body.is_zero() else self.rate)
+        return GaussianObservable(self.body.diff_p(index), self.rate)
 
     def conjugate(self) -> "GaussianObservable":
         return GaussianObservable(self.body.conjugate(), self.rate)
 
     def restrict_zero_section(self) -> "GaussianObservable":
-        body = self.body.restrict_zero_section()
-        return GaussianObservable(body, 0 if body.is_zero() else self.rate)
+        return GaussianObservable(self.body.restrict_zero_section(), self.rate)
 
     def substitute_momenta(self, shifts: Sequence[PhasePolynomial]) -> "GaussianObservable":
         return GaussianObservable(self.body.substitute_momenta(shifts), self.rate)
@@ -427,20 +434,6 @@ def differentiate(f: Observable, var: str) -> GaussianObservable:
     if not 0 <= index < obs.dim:
         raise DimensionMismatch(f"variable {var!r} outside dimension {obs.dim}")
     return obs.diff_q(index) if name[0] == "q" else obs.diff_p(index)
-
-
-def poly_arith(f: PhasePolynomial, g: "PhasePolynomial | Scalar | Rat",
-               op: str) -> PhasePolynomial:
-    """Dispatch table for the four ring operations used by the CLI."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def restrict_zero_section(f: Observable) -> GaussianObservable:

@@ -27,8 +27,8 @@ from math import factorial
 from typing import Mapping
 
 from .errors import DimensionMismatch, PhaseMismatch
-from .evolution import ActionData, _compositions
-from .observables import GaussianObservable, PhasePolynomial
+from .evolution import ActionData
+from .observables import GaussianObservable, PhasePolynomial, _compositions
 from .scalars import I, Rat, Scalar, i_power
 
 

@@ -26,7 +26,7 @@ from math import factorial
 
 from starquant import ActionData, GaussianObservable, PhasePolynomial, star_commutator
 from starquant.errors import DimensionMismatch
-from starquant.evolution import _compositions
+from starquant.observables import _compositions
 from starquant.scalars import I, ONE, Scalar, i_power
 
 _HALF_I = Scalar(Fraction(0), Fraction(1, 2))

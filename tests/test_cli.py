@@ -336,3 +336,30 @@ def test_solve1d_nonfinite_file_rows_exit_3(tmp_path, capsys, column, bad):
                          "--interval", "0", "1", "--samples", "64",
                          "--order", "1", "--bc", "1", "--json")
     assert_one_error_line(code, out, err, "ValueError")
+
+
+@pytest.mark.parametrize("bc", ["10^400", "-10^400*i"])
+def test_solve1d_rejects_boundary_beyond_float_range(capsys, bc):
+    code, out, err = run(capsys, "wkb", "solve1d", "--sprime-expr", "q",
+                         "--interval", "1", "2", "--samples", "64",
+                         "--order", "0", f"--bc={bc}", "--json")
+    assert_one_error_line(code, out, err, "ValueError")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-5"])
+def test_solve1d_rejects_bad_tolerance(capsys, tol):
+    code, out, err = run(capsys, "wkb", "solve1d", "--sprime-expr", "q",
+                         "--interval", "1", "2", "--samples", "64",
+                         "--order", "0", "--bc", "1", f"--tol={tol}", "--json")
+    assert_one_error_line(code, out, err, "ValueError")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_solve1d_underflowing_grid_step_exits_3(capsys, order):
+    # h = 1e-320/63 is subnormal, so h**order in the stencils underflows
+    code, out, err = run(capsys, "wkb", "solve1d", "--sprime-expr", "1",
+                         "--interval", "0", "1e-320", "--samples", "64",
+                         "--order", order, "--bc", "1", "--json")
+    assert_one_error_line(code, out, err, "ValueError")
+    assert "not finite" in err

@@ -27,6 +27,27 @@ def obs(poly, rate=0):
 
 S_QUAD = ActionData(Q * Q * Fraction(1, 2))
 S_CUBE = ActionData(Q ** 3)
+ACTIONS_1D = (S_QUAD, S_CUBE, ActionData(Q ** 4 - Q))
+
+Q1 = PhasePolynomial.coordinate_q(0, 2)
+Q2 = PhasePolynomial.coordinate_q(1, 2)
+ACTIONS_2D = (ActionData((Q1 * Q1 + Q2 * Q2) * Fraction(1, 2)),
+              ActionData(Q1 * Q2),
+              ActionData(Q1 ** 3 + Q2 * Q2 * Fraction(1, 2)))
+
+
+def random_cases(rng, count, degrees=(3, 2)):
+    """(f, t, s) in dims 1 and 2, with and without an envelope.
+
+    ``degrees`` caps the exponents of f in dims 1 and 2.
+    """
+    for _ in range(count):
+        dim = rng.choice((1, 2))
+        actions = ACTIONS_1D if dim == 1 else ACTIONS_2D
+        f = GaussianObservable(random_polynomial(rng, dim, degrees[dim - 1], 0, 1, 2),
+                               rng.randrange(2))
+        t = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        yield f, t, rng.choice(actions)
 
 
 def test_action_data_validation():
@@ -76,12 +97,23 @@ def test_quadratic_hamiltonians_evolve_classically():
 
 def test_evolution_matches_picard_oracle():
     rng = random.Random(161803)
-    actions = [S_QUAD, S_CUBE, ActionData(Q ** 4 - Q)]
     for _ in range(12):
         f = obs(random_polynomial(rng, 1, 3, 0, 1, 2))
-        s = actions[rng.randrange(len(actions))]
+        s = ACTIONS_1D[rng.randrange(len(ACTIONS_1D))]
         t = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
         assert evolve(f, t, s) == picard_evolve(f, t, s)
+    # the dim-2 action family and envelopes of rate 1
+    for f, t, s in random_cases(random.Random(314159), 16):
+        assert evolve(f, t, s) == picard_evolve(f, t, s)
+
+
+def test_t_polynomial_sums_to_evolve():
+    for f, t, s in random_cases(random.Random(577215), 16):
+        coeffs = evolve_t_polynomial(f, s)
+        total = GaussianObservable.zero(f.dim)
+        for m, c in enumerate(coeffs):
+            total = total + c.scale(t ** m)
+        assert total == evolve(f, t, s)
 
 
 def test_group_law_and_inverse():
@@ -137,6 +169,16 @@ def test_dressing_operators():
     # order two on p^3 is exactly the cubic correction
     assert t_operator_apply(obs(P ** 3), 1, 2, S_CUBE) == \
         obs(PhasePolynomial.lam(1, 2, Fraction(3, 2)))
+
+
+def test_dressing_is_the_undressed_flow():
+    # T_t f is A_t f pulled back along the fiber flow at -t, sliced by lambda order
+    for f, t, s in random_cases(random.Random(141421), 24, degrees=(5, 4)):
+        dressed = fiber_flow(evolve(f, t, s), -t, s)
+        for r in range(1, 5):
+            picked = {key: c for key, c in dressed.body.terms.items() if key[0] == r}
+            want = GaussianObservable(PhasePolynomial(f.dim, picked), dressed.rate)
+            assert t_operator_apply(f, t, r, s) == want
 
 
 def test_omega1_examples():

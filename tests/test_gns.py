@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from starquant import (GaussianObservable, IntegralValue, LaurentSeries,
                        gelfand_member0, inner0, inner0_factorized,
                        laurent_is_positive, momenta_decompose, omega0,
                        op_apply_base, op_compose, pi0, project_H0, star,
-                       weyl_symmetrize_oracle)
+                       weyl_check, weyl_symmetrize_oracle)
 
 from conftest import base_polynomials, observables, polynomials
 from test_star import random_polynomial
@@ -176,6 +177,14 @@ def test_weyl_correspondence_dim2():
                     alpha, beta = (a1, a2), (b1, b2)
                     f = GaussianObservable(PhasePolynomial.monomial(2, 0, alpha, beta))
                     assert pi0(f) == weyl_symmetrize_oracle(alpha, beta)
+
+
+def test_weyl_check_sweeps_every_monomial_once():
+    # C(D + 2n, 2n) monomials in 2n variables have total degree <= D
+    for dim, top in [(1, d) for d in range(7)] + [(2, d) for d in range(5)]:
+        assert weyl_check(dim, top) == (comb(top + 2 * dim, 2 * dim), [])
+    with pytest.raises(ValueError):
+        weyl_check(0, 2)
 
 
 @given(polynomials(dim=1, max_terms=2, max_degree=2),

@@ -7,7 +7,7 @@ from hypothesis import given
 
 from starquant import (DimensionMismatch, EnvelopeMismatch, GaussianObservable,
                        PhasePolynomial, Scalar, conjugate, differentiate,
-                       poly_arith, restrict_zero_section, substitute_momenta)
+                       restrict_zero_section, substitute_momenta)
 
 from conftest import observables, polynomials
 
@@ -112,5 +112,3 @@ def test_module_level_wrappers():
     assert restrict_zero_section(f) == GaussianObservable(PhasePolynomial.zero(1))
     assert conjugate(f) == f
     assert substitute_momenta(f, [Q]) == GaussianObservable(Q * P + Q * Q, 1)
-    assert poly_arith(Q, P, "mul") == Q * P
-    assert poly_arith(Q, Q, "sub") == PhasePolynomial.zero(1)
