@@ -4,7 +4,8 @@ For every monomial q^alpha p^beta up to a total degree cap, compares
 the represented operator pi0 against the symmetrized-word oracle
 (average of all operator orderings) and reports counts and timing.
 Degrees above 8 are refused by the oracle, which keeps the word count
-sane.
+sane, and sweeps of more than ``gns.MAX_WEYL_MONOMIALS`` monomials are
+refused before any work.
 """
 
 from __future__ import annotations

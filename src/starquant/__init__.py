@@ -6,9 +6,9 @@ state and its transport along an action), the Heisenberg flow A_t, and
 a formal WKB transport hierarchy with a semi-numeric 1-d solver.
 """
 
-from .errors import (DimensionMismatch, EnvelopeMismatch, GridTooCoarse,
-                     HamiltonJacobiViolated, NonIntegrable, NotInIdeal,
-                     PhaseMismatch, StarquantError, TurningPointError)
+from .errors import (BudgetExceeded, DimensionMismatch, EnvelopeMismatch,
+                     GridTooCoarse, HamiltonJacobiViolated, NonIntegrable,
+                     NotInIdeal, PhaseMismatch, StarquantError, TurningPointError)
 from .evolution import (ActionData, evolve, evolve_t_polynomial, fiber_flow,
                         gelfand_member1, omega1, pi1, t_operator_apply)
 from .gns import (SchrodingerOperator, gaussian_moment, gelfand_member0, inner0,
@@ -31,8 +31,9 @@ from .wkb import (GridFunction1D, ResidualReport, TransportHierarchy,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionData", "DimensionMismatch", "EnvelopeMismatch", "GaussianObservable",
-    "GridFunction1D", "GridTooCoarse", "HamiltonJacobiViolated", "IndexOutOfRange",
+    "ActionData", "BudgetExceeded", "DimensionMismatch", "EnvelopeMismatch",
+    "GaussianObservable", "GridFunction1D", "GridTooCoarse", "HamiltonJacobiViolated",
+    "IndexOutOfRange",
     "IntegralValue", "LaurentSeries", "NegativeExponent", "NonIntegrable",
     "NotInIdeal", "Observable", "ObservableParseError", "ObservableSyntaxError",
     "PhaseMismatch", "PhasePolynomial", "PhaseSymbol", "ResidualReport", "Scalar",

@@ -22,9 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import render
-from .errors import (DimensionMismatch, EnvelopeMismatch, GridTooCoarse,
-                     HamiltonJacobiViolated, NonIntegrable, NotInIdeal,
-                     PhaseMismatch, TurningPointError)
+from .errors import (BudgetExceeded, DimensionMismatch, EnvelopeMismatch,
+                     GridTooCoarse, HamiltonJacobiViolated, NonIntegrable,
+                     NotInIdeal, PhaseMismatch, TurningPointError)
 from .evolution import ActionData, evolve, gelfand_member1, omega1, pi1
 from .gns import (gelfand_member0, inner0, momenta_decompose, omega0, pi0,
                   project_H0, weyl_check)
@@ -43,7 +43,7 @@ MAX_SAMPLES = 2 ** 20
 
 _PRECONDITION_ERRORS = (HamiltonJacobiViolated, TurningPointError, NonIntegrable,
                         NotInIdeal, EnvelopeMismatch, GridTooCoarse, PhaseMismatch,
-                        DimensionMismatch, ValueError)
+                        DimensionMismatch, BudgetExceeded, ValueError)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -39,3 +39,7 @@ class GridTooCoarse(StarquantError):
 
 class PhaseMismatch(StarquantError):
     """Phase symbols built over different actions cannot be combined."""
+
+
+class BudgetExceeded(StarquantError):
+    """The input asks for more work than a fixed budget allows."""

@@ -24,12 +24,18 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
-from .errors import DimensionMismatch, EnvelopeMismatch, NonIntegrable, NotInIdeal
+from .errors import (BudgetExceeded, DimensionMismatch, EnvelopeMismatch, NonIntegrable,
+                     NotInIdeal)
 from .observables import GaussianObservable, Observable, PhasePolynomial, _compositions
 from .scalars import I, IntegralValue, LaurentSeries, Rat, Scalar, ZERO, i_power
 from .star import s_map, star
 
 OpKey = tuple[int, tuple[int, ...]]
+
+# Most monomials one weyl_check sweeps.  The oracle refuses words longer
+# than 8 factors, so a sweep under this cap ends in about 2 s on 2 vCPUs
+# (dim 2, degree <= 6 is the slowest); dim 2, degree 8 (495) takes 50 s.
+MAX_WEYL_MONOMIALS = 300
 
 
 def _double_factorial(n: int) -> int:
@@ -361,10 +367,19 @@ def weyl_check(dim: int, max_degree: int
 
     Sweeps all monomials of total degree at most ``max_degree`` in
     increasing degree and returns the number checked together with the
-    (alpha, beta) pairs where the two operators differ.
+    (alpha, beta) pairs where the two operators differ.  A sweep of more
+    than ``MAX_WEYL_MONOMIALS`` monomials raises ``BudgetExceeded``
+    before any work.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    # C(top, 2n) >= top once max_degree >= 1, so a large dimension or
+    # degree is refused before the binomial itself gets costly
+    top = max_degree + 2 * dim
+    if max_degree >= 1 and (top > MAX_WEYL_MONOMIALS
+                            or comb(top, 2 * dim) > MAX_WEYL_MONOMIALS):
+        raise BudgetExceeded(f"degree <= {max_degree} in dim {dim} has C({top}, {2 * dim}) "
+                             f"monomials; at most {MAX_WEYL_MONOMIALS} are checked")
     checked = 0
     mismatches = []
     for degree in range(max_degree + 1):

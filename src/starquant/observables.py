@@ -70,6 +70,20 @@ class PhasePolynomial:
                         clean[key] = s
         self.terms: dict[TermKey, Scalar] = clean
 
+    @staticmethod
+    def _from_clean(dim: int, terms: dict[TermKey, Scalar]) -> "PhasePolynomial":
+        """Trusted constructor for arithmetic results; takes ``terms`` over.
+
+        Precondition: ``dim >= 1``, every key is (int k, alpha, beta) with
+        alpha and beta tuples of ``dim`` nonnegative ints, and no
+        coefficient is zero.  Nothing is checked or copied; the public
+        constructor is the one for outside input.
+        """
+        poly = object.__new__(PhasePolynomial)
+        poly.dim = dim
+        poly.terms = terms
+        return poly
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -156,7 +170,8 @@ class PhasePolynomial:
         buckets: dict[int, dict[TermKey, Scalar]] = {}
         for (k, alpha, beta), c in self.terms.items():
             buckets.setdefault(k, {})[(0, alpha, beta)] = c
-        return {k: PhasePolynomial(self.dim, t) for k, t in sorted(buckets.items())}
+        return {k: PhasePolynomial._from_clean(self.dim, t)
+                for k, t in sorted(buckets.items())}
 
     def coefficient(self, k: int, alpha: Sequence[int], beta: Sequence[int]) -> Scalar:
         return self.terms.get((k, tuple(alpha), tuple(beta)), ZERO)
@@ -171,14 +186,22 @@ class PhasePolynomial:
         self._check_dim(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, ZERO) + c
-        return PhasePolynomial(self.dim, out)
+            prev = out.get(key)
+            if prev is None:
+                out[key] = c
+            else:
+                c = prev + c
+                if c.is_zero():
+                    del out[key]
+                else:
+                    out[key] = c
+        return PhasePolynomial._from_clean(self.dim, out)
 
     def __sub__(self, other: "PhasePolynomial") -> "PhasePolynomial":
         return self + (-other)
 
     def __neg__(self) -> "PhasePolynomial":
-        return PhasePolynomial(self.dim, {k: -c for k, c in self.terms.items()})
+        return PhasePolynomial._from_clean(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "PhasePolynomial | Scalar | Rat") -> "PhasePolynomial":
         if isinstance(other, (Scalar, int, Fraction)):
@@ -193,7 +216,8 @@ class PhasePolynomial:
                 prod = c1 * c2
                 acc = out.get(key)
                 out[key] = prod if acc is None else acc + prod
-        return PhasePolynomial(self.dim, out)
+        return PhasePolynomial._from_clean(
+            self.dim, {key: c for key, c in out.items() if not c.is_zero()})
 
     def __rmul__(self, other: "Scalar | Rat") -> "PhasePolynomial":
         return self.scale(other)
@@ -202,7 +226,7 @@ class PhasePolynomial:
         s = Scalar.of(c)
         if s.is_zero():
             return PhasePolynomial.zero(self.dim)
-        return PhasePolynomial(self.dim, {k: v * s for k, v in self.terms.items()})
+        return PhasePolynomial._from_clean(self.dim, {k: v * s for k, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "PhasePolynomial":
         if n < 0:
@@ -218,7 +242,7 @@ class PhasePolynomial:
 
     def mul_lambda(self, orders: int) -> "PhasePolynomial":
         """Multiply by lambda**orders (orders may be negative)."""
-        return PhasePolynomial(
+        return PhasePolynomial._from_clean(
             self.dim,
             {(k + orders, a, b): c for (k, a, b), c in self.terms.items()})
 
@@ -232,7 +256,7 @@ class PhasePolynomial:
                 continue
             alpha2 = alpha[:index] + (e - 1,) + alpha[index + 1:]
             out[(k, alpha2, beta)] = c * e
-        return PhasePolynomial(self.dim, out)
+        return PhasePolynomial._from_clean(self.dim, out)
 
     def diff_p(self, index: int) -> "PhasePolynomial":
         out: dict[TermKey, Scalar] = {}
@@ -242,16 +266,16 @@ class PhasePolynomial:
                 continue
             beta2 = beta[:index] + (e - 1,) + beta[index + 1:]
             out[(k, alpha, beta2)] = c * e
-        return PhasePolynomial(self.dim, out)
+        return PhasePolynomial._from_clean(self.dim, out)
 
     def conjugate(self) -> "PhasePolynomial":
         """Complex conjugation; lambda is treated as a real parameter."""
-        return PhasePolynomial(
+        return PhasePolynomial._from_clean(
             self.dim, {k: c.conjugate() for k, c in self.terms.items()})
 
     def restrict_zero_section(self) -> "PhasePolynomial":
         """Pull back along p = 0: every term with a momentum factor dies."""
-        return PhasePolynomial(
+        return PhasePolynomial._from_clean(
             self.dim,
             {key: c for key, c in self.terms.items() if not any(key[2])})
 
@@ -277,7 +301,7 @@ class PhasePolynomial:
 
         out = PhasePolynomial.zero(self.dim)
         for (k, alpha, beta), c in self.terms.items():
-            acc = PhasePolynomial(self.dim, {(k, alpha, (0,) * self.dim): c})
+            acc = PhasePolynomial._from_clean(self.dim, {(k, alpha, (0,) * self.dim): c})
             for j, bj in enumerate(beta):
                 if bj:
                     acc = acc * power(j, bj)

@@ -2,7 +2,10 @@
 
 Coefficients in the symbolic tier live in Q(i): complex numbers whose
 real and imaginary parts are rationals, so equality is decidable and
-every operation is exact.  On top of that sit finite Laurent series in
+every operation is exact.  A ``Scalar`` stores such a number over one
+common denominator, as the integer triple (re_num, im_num, den) of
+(re_num + i*im_num)/den; arithmetic is integer arithmetic followed by a
+single three-way gcd.  On top of that sit finite Laurent series in
 the deformation parameter (written ``lambda`` throughout), with at most
 finitely many negative orders.  The real series form an ordered field:
 a nonzero series is positive exactly when its lowest nonvanishing
@@ -11,8 +14,8 @@ coefficient is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
@@ -22,76 +25,128 @@ def _frac(x: Rat | str) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """A complex number with rational real and imaginary parts."""
+    """A complex number with rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The value is (re_num + i*im_num)/den with den > 0 and
+    gcd(re_num, im_num, den) == 1, so zero is (0, 0, 1).  The triple is
+    canonical: every triple with den > 0 that names a value is a
+    positive integer multiple of one primitive triple, and dividing by
+    the gcd, as every constructor does, leaves that one.  Equality is
+    therefore a comparison of triples, and the real and imaginary parts
+    are read back as ``Fraction`` properties.  Instances are immutable
+    by convention.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    __slots__ = ("re_num", "im_num", "den")
+
+    def __init__(self, re: Rat | str = 0, im: Rat | str = 0):
+        re, im = _frac(re), _frac(im)
+        a, b = re.denominator, im.denominator
+        den = a // gcd(a, b) * b
+        # re and im are in lowest terms, so no common factor is left
+        self.re_num = re.numerator * (den // a)
+        self.im_num = im.numerator * (den // b)
+        self.den = den
+
+    @staticmethod
+    def _raw(re_num: int, im_num: int, den: int) -> "Scalar":
+        """(re_num + i*im_num)/den for any integers with den > 0."""
+        g = gcd(re_num, im_num, den)
+        s = object.__new__(Scalar)
+        s.re_num = re_num // g
+        s.im_num = im_num // g
+        s.den = den // g
+        return s
 
     @staticmethod
     def of(x: "Scalar | Rat") -> "Scalar":
-        return x if isinstance(x, Scalar) else Scalar(_frac(x))
+        if isinstance(x, Scalar):
+            return x
+        x = _frac(x)
+        return Scalar._raw(x.numerator, 0, x.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
 
     def __add__(self, other: "Scalar | Rat") -> "Scalar":
         o = Scalar.of(other)
-        return Scalar(self.re + o.re, self.im + o.im)
+        d, e = self.den, o.den
+        if d == e:
+            return Scalar._raw(self.re_num + o.re_num, self.im_num + o.im_num, d)
+        return Scalar._raw(self.re_num * e + o.re_num * d,
+                           self.im_num * e + o.im_num * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Scalar | Rat") -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re - o.re, self.im - o.im)
+        return self + -Scalar.of(other)
 
     def __rsub__(self, other: "Scalar | Rat") -> "Scalar":
         return Scalar.of(other) - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return Scalar._raw(-self.re_num, -self.im_num, self.den)
 
     def __mul__(self, other: "Scalar | Rat") -> "Scalar":
         o = Scalar.of(other)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        a, b, c, d = self.re_num, self.im_num, o.re_num, o.im_num
+        return Scalar._raw(a * c - b * d, a * d + b * c, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Scalar | Rat") -> "Scalar":
         o = Scalar.of(other)
-        n2 = o.re * o.re + o.im * o.im
+        a, b, c, d = self.re_num, self.im_num, o.re_num, o.im_num
+        n2 = c * c + d * d
         if n2 == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar((self.re * o.re + self.im * o.im) / n2,
-                      (self.im * o.re - self.re * o.im) / n2)
+        # (a + ib)/s / ((c + id)/t) = t (a + ib)(c - id) / (s (c^2 + d^2))
+        t = o.den
+        return Scalar._raw((a * c + b * d) * t, (b * c - a * d) * t, self.den * n2)
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return Scalar._raw(self.re_num, -self.im_num, self.den)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re_num or self.im_num)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im_num
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return (self.re_num == other.re_num and self.im_num == other.im_num
+                and self.den == other.den)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self.re_num / self.den, self.im_num / self.den)
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i" if self.im != 1 else "i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i" if im != 1 else "i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imag = "i" if mag == 1 else f"{mag}*i"
-        return f"{self.re} {sign} {imag}"
+        return f"{re} {sign} {imag}"
+
+    def __repr__(self) -> str:
+        return f"Scalar(re={self.re!r}, im={self.im!r})"
 
 
 ZERO = Scalar()

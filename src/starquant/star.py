@@ -28,7 +28,8 @@ with falling factorials (x)_m and d^m(q^a e^{-r q^2}) = P(a,m,r) e^{-r q^2}:
 order spends a momentum derivative, so n <= b + d; without envelopes P
 also vanishes past m = a, so n <= min(a,d) + min(b,c).  M_b(f, g) =
 (-1)^b M_b(g, f): the star commutator keeps the odd total orders,
-doubled, and M_b is the order-b slice.
+doubled, and M_b is the order-b slice.  Each output coefficient is
+summed as an integer triple (re, im, den) and reduced once at the end.
 
 The symmetrization map S = exp(-(i*lambda/2) Delta) with
 Delta = sum_k d^2/(dq^k dp_k) intertwines the two orderings used by the
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, gcd, perm
 
 from .errors import DimensionMismatch
 from .observables import GaussianObservable, Observable, PhasePolynomial
@@ -49,8 +50,12 @@ from .scalars import Scalar
 
 _CACHE_SIZE = 2048  # entries per kernel cache
 
-# 1-d table entries (n, x, y, w) stand for w * (i*lambda)^n q^x p^y
-Table = tuple[tuple[int, int, int, Fraction], ...]
+# 1-d table entries (n, x, y, num, den) stand for
+# (num/den) * (i*lambda)^n q^x p^y, with num/den in lowest terms
+Table = tuple[tuple[int, int, int, int, int], ...]
+# tables are keyed on envelope rates as (numerator, denominator): ints
+# hash and compare far faster than Fractions on every lookup
+RateKey = tuple[int, int]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -75,7 +80,8 @@ def _deriv(a: int, m: int, rate: Fraction) -> tuple[tuple[int, Fraction], ...]:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _star_table(a: int, b: int, r: Fraction, c: int, d: int, s: Fraction) -> Table:
+def _star_table(a: int, b: int, rk: RateKey, c: int, d: int, sk: RateKey) -> Table:
+    r, s = Fraction(*rk), Fraction(*sk)
     acc: dict[tuple[int, int], Fraction] = {}
     for n in range(b + d + 1):
         scale = Fraction(1, 2 ** n * factorial(n))
@@ -87,36 +93,53 @@ def _star_table(a: int, b: int, r: Fraction, c: int, d: int, s: Fraction) -> Tab
             for x, u in left:
                 for y, v in right:
                     acc[n, x + y] = acc.get((n, x + y), 0) + w * u * v
-    return tuple((n, x, b + d - n, w) for (n, x), w in sorted(acc.items()) if w)
+    return tuple((n, x, b + d - n, *w.as_integer_ratio())
+                 for (n, x), w in sorted(acc.items()) if w)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _s_table(a: int, b: int, r: Fraction, sign: int) -> Table:
+def _s_table(a: int, b: int, rk: RateKey, sign: int) -> Table:
     out = []
     for m in range(b + 1):
         w = Fraction(sign ** m * perm(b, m), 2 ** m * factorial(m))
-        out += [(m, x, b - m, w * u) for x, u in _deriv(a, m, r)]
+        out += [(m, x, b - m, *(w * u).as_integer_ratio())
+                for x, u in _deriv(a, m, Fraction(*rk))]
     return tuple(out)
 
 
-def _combine(tables: list[Table]) -> list[tuple[int, tuple[int, ...], tuple[int, ...], Fraction]]:
-    """Product over dimensions of 1-d tables: (n, q-exponents, p-exponents, r)."""
-    out = [(n, (x,), (y,), w) for n, x, y, w in tables[0]]
+def _combine(tables: list[Table]
+             ) -> list[tuple[int, tuple[int, ...], tuple[int, ...], int, int]]:
+    """Product over dimensions of 1-d tables: (n, q-exponents, p-exponents, num, den)."""
+    out = [(n, (x,), (y,), u, v) for n, x, y, u, v in tables[0]]
     for table in tables[1:]:
-        out = [(n + m, xs + (x,), ys + (y,), w * u)
-               for n, xs, ys, w in out for m, x, y, u in table]
+        out = [(n + m, xs + (x,), ys + (y,), u * w, v * z)
+               for n, xs, ys, u, v in out for m, x, y, w, z in table]
     return out
 
 
-def _accumulate(acc: dict, key, c: Scalar, power: int, w: Fraction) -> None:
-    """acc[key] += c * i^power * w, with the value kept as [re, im]."""
-    re, im = ((c.re, c.im), (-c.im, c.re), (-c.re, -c.im), (c.im, -c.re))[power % 4]
+def _accumulate(acc: dict, key, re: int, im: int, den: int, power: int) -> None:
+    """acc[key] += i^power * (re + i*im)/den in an integer slot [re, im, den]."""
+    re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[power % 4]
     slot = acc.get(key)
     if slot is None:
-        acc[key] = [re * w, im * w]
+        acc[key] = [re, im, den]
+    elif slot[2] == den:
+        slot[0] += re
+        slot[1] += im
     else:
-        slot[0] += re * w
-        slot[1] += im * w
+        old = slot[2]
+        g = gcd(old, den)
+        u, v = den // g, old // g
+        slot[0] = slot[0] * u + re * v
+        slot[1] = slot[1] * u + im * v
+        slot[2] = old * u
+
+
+def _body(dim: int, acc: dict) -> PhasePolynomial:
+    """The polynomial of the integer slots, zero sums dropped."""
+    raw = Scalar._raw
+    return PhasePolynomial._from_clean(
+        dim, {key: raw(re, im, den) for key, (re, im, den) in acc.items() if re or im})
 
 
 def _moyal(f: Observable, g: Observable, order: int | None = None,
@@ -131,23 +154,27 @@ def _moyal(f: Observable, g: Observable, order: int | None = None,
     if fo.dim != go.dim:
         raise DimensionMismatch(f"dim {fo.dim} vs {go.dim}")
     dim, r, s = fo.dim, fo.rate, go.rate
+    rk, sk = (r.numerator, r.denominator), (s.numerator, s.denominator)
     acc: dict = {}
     for (kf, af, bf), cf in fo.body.terms.items():
         for (kg, ag, bg), cg in go.body.terms.items():
-            c = cf * cg
-            terms = _combine([_star_table(af[k], bf[k], r, ag[k], bg[k], s)
+            # cf * cg as an integer triple, reduced only once per output term
+            re = cf.re_num * cg.re_num - cf.im_num * cg.im_num
+            im = cf.re_num * cg.im_num + cf.im_num * cg.re_num
+            den = cf.den * cg.den
+            terms = _combine([_star_table(af[k], bf[k], rk, ag[k], bg[k], sk)
                               for k in range(dim)])
-            for n, xs, ys, w in terms:
+            for n, xs, ys, u, v in terms:
                 if order is not None:
                     if n == order:
-                        _accumulate(acc, (kf + kg, xs, ys), c, 0,
-                                    w * (2 ** n * factorial(n)))
+                        u *= 2 ** n * factorial(n)
+                        _accumulate(acc, (kf + kg, xs, ys), re * u, im * u, den * v, 0)
                 elif not odd_only:
-                    _accumulate(acc, (kf + kg + n, xs, ys), c, n, w)
+                    _accumulate(acc, (kf + kg + n, xs, ys), re * u, im * u, den * v, n)
                 elif n % 2:
-                    _accumulate(acc, (kf + kg + n, xs, ys), c, n, 2 * w)
-    body = PhasePolynomial(dim, {key: Scalar(re, im) for key, (re, im) in acc.items()})
-    return GaussianObservable(body, r + s)
+                    _accumulate(acc, (kf + kg + n, xs, ys),
+                                2 * re * u, 2 * im * u, den * v, n)
+    return GaussianObservable(_body(dim, acc), r + s)
 
 
 def bidiff_M(f: Observable, g: Observable, b: int) -> GaussianObservable:
@@ -181,10 +208,10 @@ def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     obs = GaussianObservable.of(f)
     sign = -1 if direction == "forward" else 1
+    rk = obs.rate.numerator, obs.rate.denominator
     acc: dict = {}
     for (k, alpha, beta), c in obs.body.terms.items():
-        for n, xs, ys, w in _combine([_s_table(alpha[j], beta[j], obs.rate, sign)
-                                      for j in range(obs.dim)]):
-            _accumulate(acc, (k + n, xs, ys), c, n, w)
-    body = PhasePolynomial(obs.dim, {key: Scalar(re, im) for key, (re, im) in acc.items()})
-    return GaussianObservable(body, obs.rate)
+        for n, xs, ys, u, v in _combine([_s_table(alpha[j], beta[j], rk, sign)
+                                         for j in range(obs.dim)]):
+            _accumulate(acc, (k + n, xs, ys), c.re_num * u, c.im_num * u, c.den * v, n)
+    return GaussianObservable(_body(obs.dim, acc), obs.rate)

@@ -16,6 +16,9 @@ derivation, so agreement is evidence rather than tautology:
 * ``exact_poly_at`` evaluates a real q-polynomial at a float point in
   exact rational arithmetic, the reference for the grid tier's
   floating-point evaluator.
+* ``FractionPair`` is a complex rational kept as two ``Fraction``s, the
+  representation ``Scalar`` had before it became an integer triple; it
+  is the reference for ``Scalar`` arithmetic, printing and hashing.
 """
 
 from __future__ import annotations
@@ -185,3 +188,60 @@ def exact_poly_at(poly: PhasePolynomial, x: float) -> Fraction:
     for (_, alpha, _), c in poly.terms.items():
         total += c.re * Fraction(x) ** alpha[0]
     return total
+
+
+class FractionPair:
+    """A complex rational as a (re, im) pair of Fractions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o: "FractionPair") -> "FractionPair":
+        return FractionPair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o: "FractionPair") -> "FractionPair":
+        return FractionPair(self.re - o.re, self.im - o.im)
+
+    def __neg__(self) -> "FractionPair":
+        return FractionPair(-self.re, -self.im)
+
+    def __mul__(self, o: "FractionPair") -> "FractionPair":
+        return FractionPair(self.re * o.re - self.im * o.im,
+                            self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o: "FractionPair") -> "FractionPair":
+        n2 = o.re * o.re + o.im * o.im
+        if n2 == 0:
+            raise ZeroDivisionError("division by zero scalar")
+        return FractionPair((self.re * o.re + self.im * o.im) / n2,
+                            (self.im * o.re - self.re * o.im) / n2)
+
+    def conjugate(self) -> "FractionPair":
+        return FractionPair(self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __str__(self) -> str:
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}*i" if self.im != 1 else "i"
+        sign = "+" if self.im > 0 else "-"
+        mag = abs(self.im)
+        imag = "i" if mag == 1 else f"{mag}*i"
+        return f"{self.re} {sign} {imag}"
+
+    def __repr__(self) -> str:
+        return f"Scalar(re={self.re!r}, im={self.im!r})"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -67,6 +68,35 @@ def test_deep_nesting_exits_2_with_position(capsys):
     # nesting up to the limit still parses
     code, out, _ = run(capsys, "star", "(" * 100 + "q" + ")" * 100, "p")
     assert (code, out) == (0, "q*p + i/2*lambda\n")
+
+
+def test_weyl_check_budget_exits_3_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weyl-check", "--dim", "300", "--max-degree", "3", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    body = json.loads(lines[0])
+    assert body["error"] == "BudgetExceeded"
+    assert "C(603, 600) monomials" in body["message"]
+    # the check itself must not evaluate C(10^9 + 2*10^6, 2*10^6): that takes minutes
+    code, _, err = run(capsys, "weyl-check", "--dim", "1000000", "--max-degree", "1000000000")
+    assert code == 3 and json.loads(err)["error"] == "BudgetExceeded"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_power_budget_exits_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "star", "(q+p)^5000", "1", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "BudgetExceeded"
+    # a power of a monomial has one term, whatever the exponent
+    code, out, _ = run(capsys, "star", "q^2000", "1")
+    assert (code, out) == (0, "q^2000\n")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from scipy.integrate import quad
 
-from starquant import (GaussianObservable, IntegralValue, LaurentSeries,
+from starquant import (BudgetExceeded, GaussianObservable, IntegralValue, LaurentSeries,
                        NonIntegrable, NotInIdeal, PhasePolynomial, Scalar,
                        SchrodingerOperator, conjugate, gaussian_moment,
                        gelfand_member0, inner0, inner0_factorized,
                        laurent_is_positive, momenta_decompose, omega0,
                        op_apply_base, op_compose, pi0, project_H0, star,
                        weyl_check, weyl_symmetrize_oracle)
+from starquant.gns import MAX_WEYL_MONOMIALS
 
 from conftest import base_polynomials, observables, polynomials
 from test_star import random_polynomial
@@ -185,6 +186,11 @@ def test_weyl_check_sweeps_every_monomial_once():
         assert weyl_check(dim, top) == (comb(top + 2 * dim, 2 * dim), [])
     with pytest.raises(ValueError):
         weyl_check(0, 2)
+    # C(7 + 4, 4) = 330 monomials is over the budget, refused before any work
+    assert comb(6 + 4, 4) <= MAX_WEYL_MONOMIALS < comb(7 + 4, 4)
+    with pytest.raises(BudgetExceeded):
+        weyl_check(2, 7)
+    assert weyl_check(1, -1) == (0, [])
 
 
 @given(polynomials(dim=1, max_terms=2, max_degree=2),

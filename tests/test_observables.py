@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from starquant import (DimensionMismatch, EnvelopeMismatch, GaussianObservable,
                        PhasePolynomial, Scalar, conjugate, differentiate,
-                       restrict_zero_section, substitute_momenta)
+                       restrict_zero_section, s_map, star, star_commutator,
+                       substitute_momenta)
 
-from conftest import observables, polynomials
+from conftest import base_polynomials, observables, polynomials
 
 Q = PhasePolynomial.coordinate_q(0, 1)
 P = PhasePolynomial.coordinate_p(0, 1)
@@ -112,3 +114,42 @@ def test_module_level_wrappers():
     assert restrict_zero_section(f) == GaussianObservable(PhasePolynomial.zero(1))
     assert conjugate(f) == f
     assert substitute_momenta(f, [Q]) == GaussianObservable(Q * P + Q * Q, 1)
+
+
+# few distinct coefficients, so sums and products cancel often
+_UNITS = st.sampled_from([Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(0, -1),
+                          Scalar(Fraction(1, 2)), Scalar(-2, Fraction(1, 3))])
+
+
+@st.composite
+def _operands(draw):
+    dim = draw(st.integers(1, 3))
+    kw = dict(dim=dim, max_terms=3, max_degree=2, min_lambda=-1, max_lambda=1,
+              coeffs=_UNITS)
+    f, g = draw(polynomials(**kw)), draw(polynomials(**kw))
+    shifts = [draw(base_polynomials(dim, max_terms=2, max_degree=2, coeffs=_UNITS))
+              for _ in range(dim)]
+    return f, g, shifts, draw(st.integers(0, 2)), draw(st.integers(0, 2))
+
+
+def _assert_canonical(r) -> None:
+    poly = r.body if isinstance(r, GaussianObservable) else r
+    assert PhasePolynomial(poly.dim, poly.terms) == poly
+    assert not any(c.is_zero() for c in poly.terms.values())
+
+
+@given(_operands())
+def test_arithmetic_results_are_canonical(case):
+    """Results built by the trusted constructor equal their checked rebuild."""
+    f, g, shifts, r, s = case
+    F, G = GaussianObservable(f, r), GaussianObservable(g, s)
+    results = [f + g, f - g, f - (f + g), -f, f * g, (f + g) * (f - g),
+               f.scale(Scalar(0, 1)), f.scale(0), f.mul_lambda(-1), f.conjugate(),
+               f.restrict_zero_section(), f.substitute_momenta(shifts),
+               *f.lambda_components().values(),
+               star(F, G), star(F, G) - star(G, F), star_commutator(F, G),
+               star_commutator(F, F), s_map(F), s_map(F, "backward")]
+    for k in range(f.dim):
+        results += [f.diff_q(k), f.diff_p(k), F.diff_q(k)]
+    for result in results:
+        _assert_canonical(result)

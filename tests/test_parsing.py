@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from starquant import (GaussianObservable, IndexOutOfRange, NegativeExponent,
-                       ObservableParseError, ObservableSyntaxError,
+from starquant import (BudgetExceeded, GaussianObservable, IndexOutOfRange,
+                       NegativeExponent, ObservableParseError, ObservableSyntaxError,
                        PhasePolynomial, Scalar, parse_observable)
-from starquant.parsing import parse_complex_constant, parse_rational
+from starquant.parsing import MAX_POWER_TERMS, parse_complex_constant, parse_rational
 from starquant.render import pretty_polynomial
 
 from conftest import polynomials
@@ -61,6 +61,22 @@ def test_negative_exponent_is_rejected_off_lambda():
     assert err.value.line == 1 and err.value.column == 3
     with pytest.raises(NegativeExponent):
         parse_observable("(q + 1)^-2", 1)
+
+
+def test_power_term_budget():
+    # (q + p + 1)^n has C(n + 2, 2) terms: 990 for n = 43, 1035 for n = 44
+    assert MAX_POWER_TERMS == 1000
+    assert len(parse_observable("(q+p+1)^43", 1).body.terms) == 990
+    with pytest.raises(BudgetExceeded, match="^1:2: power 44 of a 3-term base"):
+        parse_observable(" (q+p+1)^44", 1)
+    with pytest.raises(BudgetExceeded):
+        parse_complex_constant("(1+lambda)^5000")
+    with pytest.raises(BudgetExceeded):
+        parse_observable("(q+p)^" + "9" * 4000, 1)
+    assert parse_observable("(q+p)^0", 1) == parse_observable("1", 1)
+    # bases of one term, or none, are never refused
+    assert parse_observable("(2*q1*p2)^3000", 2).body.terms
+    assert parse_observable("(q-q)^5000", 1).is_zero()
 
 
 def test_index_range_checks():

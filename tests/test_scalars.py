@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from starquant import IntegralValue, LaurentSeries, Scalar, i_power, laurent_is_positive
 
 from conftest import real_scalars, scalars
+from oracles import FractionPair
 
 
 def series(terms: dict[int, Scalar | int]) -> LaurentSeries:
@@ -41,6 +43,64 @@ def test_scalar_field_laws(a, b, c):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+wide_fractions = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=60))
+fraction_pairs = st.tuples(wide_fractions, wide_fractions)
+
+
+def _agrees(s: Scalar, ref: FractionPair) -> None:
+    assert (s.re, s.im) == (ref.re, ref.im)
+    assert s == Scalar(ref.re, ref.im)
+    assert str(s) == str(ref)
+    assert repr(s) == repr(ref)
+    assert complex(s) == complex(ref)
+    assert (s.is_zero(), s.is_real(), bool(s)) == (ref.is_zero(), ref.is_real(),
+                                                   not ref.is_zero())
+    # the hash of the (re, im) dataclass this class replaced
+    assert hash(s) == hash((ref.re, ref.im)) == hash(ref)
+    # canonical triple: positive denominator, no common factor, zero is (0, 0, 1)
+    assert s.den > 0 and gcd(s.re_num, s.im_num, s.den) == 1
+    if s.is_zero():
+        assert (s.re_num, s.im_num, s.den) == (0, 0, 1)
+
+
+@given(fraction_pairs, fraction_pairs, st.integers(-6, 6))
+def test_scalar_matches_fraction_pair_reference(x, y, k):
+    a, b = Scalar(*x), Scalar(*y)
+    ra, rb = FractionPair(*x), FractionPair(*y)
+    rk = FractionPair(k)
+    _agrees(a, ra)
+    _agrees(a + b, ra + rb)
+    _agrees(a - b, ra - rb)
+    _agrees(a * b, ra * rb)
+    _agrees(-a, -ra)
+    _agrees(a.conjugate(), ra.conjugate())
+    # mixed with plain rationals on either side
+    _agrees(a + k, ra + rk)
+    _agrees(k + a, rk + ra)
+    _agrees(a - k, ra - rk)
+    _agrees(k - a, rk - ra)
+    _agrees(a * k, ra * rk)
+    _agrees(a * y[0], ra * FractionPair(y[0]))
+    _agrees(k * a, rk * ra)
+    if rb.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        _agrees(a / b, ra / rb)
+
+
+def test_scalar_constructor_forms():
+    assert Scalar() == Scalar(0, 0) == Scalar.of(0)
+    assert Scalar("1/2", -3) == Scalar(Fraction(1, 2), Fraction(-3))
+    assert Scalar(re=Fraction(2, 4), im=Fraction(-6, 8)) == Scalar(Fraction(1, 2),
+                                                                    Fraction(-3, 4))
+    c = Scalar(Fraction(1, 6), Fraction(1, 4))
+    assert (c.re_num, c.im_num, c.den) == (2, 3, 12)
+    assert Scalar(1) != 1  # a Scalar compares equal only to a Scalar
+    assert repr(Scalar(1)) == "Scalar(re=Fraction(1, 1), im=Fraction(0, 1))"
 
 
 def test_series_arithmetic():
