@@ -12,7 +12,12 @@ q -> (q, 0) of T*R^n.  Everything it induces is computed exactly here:
   constructive by ``momenta_decompose``, which peels a polynomial
   member into left star-multiples of the momenta.
 * ``pi0`` realizes observables as differential operators in q acting on
-  the quotient; ``weyl_symmetrize_oracle`` provides the independent
+  the quotient.  A ``SchrodingerOperator`` is stored as its phase-space
+  symbol, with the momentum p_k standing for d/dq^k, so operators share
+  the polynomial arithmetic of ``GaussianObservable``: ``pi0`` is the
+  symmetrization map followed by p_k -> -i lambda d/dq^k, and
+  ``op_compose`` is the standard-ordered symbol product.
+  ``weyl_symmetrize_oracle`` provides the independent
   operator-ordering average that pi0 must reproduce on monomials, and
   ``weyl_check`` sweeps that comparison over all monomials up to a degree.
 """
@@ -24,17 +29,21 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
-from .errors import (BudgetExceeded, DimensionMismatch, EnvelopeMismatch, NonIntegrable,
-                     NotInIdeal)
-from .observables import GaussianObservable, Observable, PhasePolynomial, _compositions
+from .errors import BudgetExceeded, DimensionMismatch, NonIntegrable, NotInIdeal
+from .observables import (GaussianObservable, Observable, PhasePolynomial, TermKey,
+                          _compositions)
 from .scalars import I, IntegralValue, LaurentSeries, Rat, Scalar, ZERO, i_power
 from .star import s_map, star
 
 OpKey = tuple[int, tuple[int, ...]]
 
-# Most monomials one weyl_check sweeps.  The oracle refuses words longer
-# than 8 factors, so a sweep under this cap ends in about 2 s on 2 vCPUs
-# (dim 2, degree <= 6 is the slowest); dim 2, degree 8 (495) takes 50 s.
+# Longest operator word weyl_symmetrize_oracle averages: a word of m
+# letters has up to m! orderings, each composed factor by factor.
+MAX_WORD_LENGTH = 8
+
+# Most monomials one weyl_check sweeps.  A sweep under this cap ends in
+# about 2 s on 2 vCPUs (dim 2, degree <= 6 is the slowest); dim 2,
+# degree 8 (495) takes 50 s.
 MAX_WEYL_MONOMIALS = 300
 
 
@@ -146,36 +155,37 @@ def momenta_decompose(f: "PhasePolynomial | GaussianObservable") -> list[PhasePo
 class SchrodingerOperator:
     """Differential operator sum_k lambda^k c_{k,gamma}(q) d^gamma/dq^gamma.
 
-    Coefficients are base-only, lambda-free polynomials in q; the
-    lambda-grading lives in the term key.  An optional global Gaussian
-    factor exp(-rate |q|^2) multiplies the whole operator, which keeps
-    the class closed under the representation of enveloped observables.
+    Stored as one phase-space symbol, the ``GaussianObservable`` whose
+    term lambda^k c q^alpha p^gamma stands for lambda^k c q^alpha d^gamma:
+    the p-exponent is the derivative order, and the symbol's envelope
+    exp(-rate |q|^2) multiplies the whole operator.  The constructor and
+    ``sorted_terms`` use the grouped form {(k, gamma): c(q)}.
     """
 
-    __slots__ = ("dim", "rate", "terms")
+    __slots__ = ("symbol",)
 
     def __init__(self, dim: int, terms: Mapping[OpKey, PhasePolynomial] | None = None,
                  rate: Rat = 0):
-        self.dim = int(dim)
-        rate = rate if isinstance(rate, Fraction) else Fraction(rate)
-        if rate < 0:
-            raise ValueError("operator envelope rate must be nonnegative")
-        clean: dict[OpKey, PhasePolynomial] = {}
-        if terms:
-            for (k, gamma), coeff in terms.items():
-                gamma = tuple(int(g) for g in gamma)
-                if len(gamma) != dim:
-                    raise DimensionMismatch("derivative multi-index length != dim")
-                if coeff.dim != dim:
-                    raise DimensionMismatch("coefficient dimension mismatch")
-                if not coeff.is_base_only() or not coeff.is_lambda_free():
-                    raise ValueError("operator coefficients must be plain q-polynomials")
-                if not coeff.is_zero():
-                    clean[(int(k), gamma)] = coeff
-        if not clean:
-            rate = Fraction(0)
-        self.terms = clean
-        self.rate = rate
+        flat: dict[TermKey, Scalar] = {}
+        for (k, gamma), coeff in (terms or {}).items():
+            gamma = tuple(int(g) for g in gamma)
+            if len(gamma) != dim:
+                raise DimensionMismatch("derivative multi-index length != dim")
+            if coeff.dim != dim:
+                raise DimensionMismatch("coefficient dimension mismatch")
+            if not coeff.is_base_only() or not coeff.is_lambda_free():
+                raise ValueError("operator coefficients must be plain q-polynomials")
+            for (_, alpha, _), c in coeff.terms.items():
+                flat[(int(k), alpha, gamma)] = c
+        # the symbol refuses dim < 1, negative derivative orders and rates
+        self.symbol = GaussianObservable(PhasePolynomial(dim, flat), rate)
+
+    @staticmethod
+    def _of(symbol: GaussianObservable) -> "SchrodingerOperator":
+        """Trusted constructor for arithmetic results; takes ``symbol`` over."""
+        op = object.__new__(SchrodingerOperator)
+        op.symbol = symbol
+        return op
 
     @staticmethod
     def zero(dim: int) -> "SchrodingerOperator":
@@ -186,62 +196,54 @@ class SchrodingerOperator:
         return SchrodingerOperator(
             dim, {(0, (0,) * dim): PhasePolynomial.one(dim)})
 
+    @property
+    def dim(self) -> int:
+        return self.symbol.dim
+
+    @property
+    def rate(self) -> Fraction:
+        return self.symbol.rate
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.symbol.is_zero()
 
     def _check(self, other: "SchrodingerOperator") -> None:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
 
     def __add__(self, other: "SchrodingerOperator") -> "SchrodingerOperator":
-        self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.rate != other.rate:
-            raise EnvelopeMismatch("cannot add operators with different envelope rates")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = out.get(key)
-            out[key] = coeff if prev is None else prev + coeff
-        return SchrodingerOperator(self.dim, out, self.rate)
+        self._check(other)  # the symbol sum skips it when one side is zero
+        return SchrodingerOperator._of(self.symbol + other.symbol)
 
     def __sub__(self, other: "SchrodingerOperator") -> "SchrodingerOperator":
-        return self + other.scale(Scalar.of(-1))
+        return self + (-other)
 
     def __neg__(self) -> "SchrodingerOperator":
-        return self.scale(Scalar.of(-1))
+        return SchrodingerOperator._of(-self.symbol)
 
     def scale(self, c: Scalar | Rat) -> "SchrodingerOperator":
-        s = Scalar.of(c)
-        if s.is_zero():
-            return SchrodingerOperator.zero(self.dim)
-        return SchrodingerOperator(
-            self.dim, {key: coeff.scale(s) for key, coeff in self.terms.items()},
-            self.rate)
+        return SchrodingerOperator._of(self.symbol.scale(c))
 
     def mul_lambda(self, orders: int) -> "SchrodingerOperator":
-        return SchrodingerOperator(
-            self.dim, {(k + orders, g): c for (k, g), c in self.terms.items()},
-            self.rate)
+        return SchrodingerOperator._of(self.symbol.mul_lambda(orders))
 
     def lambda_components(self) -> dict[int, "SchrodingerOperator"]:
-        buckets: dict[int, dict[OpKey, PhasePolynomial]] = {}
-        for (k, gamma), coeff in self.terms.items():
-            buckets.setdefault(k, {})[(0, gamma)] = coeff
-        return {k: SchrodingerOperator(self.dim, t, self.rate)
-                for k, t in sorted(buckets.items())}
+        return {k: SchrodingerOperator._of(GaussianObservable(part, self.rate))
+                for k, part in self.symbol.body.lambda_components().items()}
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+    def sorted_terms(self) -> list[tuple[OpKey, PhasePolynomial]]:
+        """The grouped form ((k, gamma), c(q)), in key order."""
+        groups: dict[OpKey, dict[TermKey, Scalar]] = {}
+        for (k, alpha, gamma), c in self.symbol.body.terms.items():
+            groups.setdefault((k, gamma), {})[(0, alpha, (0,) * self.dim)] = c
+        return sorted((key, PhasePolynomial._from_clean(self.dim, t))
+                      for key, t in groups.items())
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SchrodingerOperator) and self.dim == other.dim
-                and self.rate == other.rate and self.terms == other.terms)
+        return isinstance(other, SchrodingerOperator) and self.symbol == other.symbol
 
     def __hash__(self):
-        return hash((self.dim, self.rate, frozenset(self.terms.items())))
+        return hash(self.symbol)
 
     def __str__(self) -> str:
         from .render import pretty_operator
@@ -252,52 +254,44 @@ class SchrodingerOperator:
 
 
 def op_compose(a: SchrodingerOperator, b: SchrodingerOperator) -> SchrodingerOperator:
-    """Operator product a . b via the generalized Leibniz rule.
+    """Operator product a . b as the standard-ordered product of the symbols,
 
-    Each derivative of ``a`` distributes over b's coefficient (with its
-    envelope, if any) and the remaining derivatives; envelope rates add.
+        sum_delta (1/delta!) (d_p^delta sigma_a) (d_q^delta sigma_b),
+
+    which is the generalized Leibniz rule; d_q also differentiates the
+    envelope of sigma_b, and envelope rates add.
     """
     a._check(b)
-    n = a.dim
-    out: dict[OpKey, PhasePolynomial] = {}
-    for (k1, g1), c1 in a.terms.items():
-        for (k2, g2), c2 in b.terms.items():
-            wrapped = GaussianObservable(c2, b.rate)
-            for delta in itertools.product(*(range(e + 1) for e in g1)):
-                binom = 1
-                for ge, de in zip(g1, delta):
-                    binom *= comb(ge, de)
-                deriv = wrapped
-                for j, d in enumerate(delta):
-                    for _ in range(d):
-                        deriv = deriv.diff_q(j)
-                if deriv.is_zero():
-                    continue
-                gamma = tuple(ge - de + g2e for ge, de, g2e in zip(g1, delta, g2))
-                coeff = (c1 * deriv.body).scale(binom)
-                key = (k1 + k2, gamma)
-                prev = out.get(key)
-                out[key] = coeff if prev is None else prev + coeff
-    return SchrodingerOperator(n, out, a.rate + b.rate)
+    # (d_p^delta sigma_a, d_q^delta sigma_b, delta!) for each delta that
+    # leaves both factors nonzero, grown one coordinate at a time
+    parts = [(a.symbol, b.symbol, 1)]
+    for j in range(a.dim):
+        grown = []
+        for da, db, w in parts:
+            d = 0
+            while not (da.is_zero() or db.is_zero()):
+                grown.append((da, db, w))
+                d += 1
+                da, db, w = da.diff_p(j), db.diff_q(j), w * d
+        parts = grown
+    out = GaussianObservable.zero(a.dim)
+    for da, db, w in parts:
+        out = out + (da * db).scale(Fraction(1, w))
+    return SchrodingerOperator._of(out)
 
 
 def op_apply_base(a: SchrodingerOperator, phi: Observable) -> GaussianObservable:
-    """Apply the operator to a base function (no momentum dependence)."""
+    """Apply the operator to a base function (no momentum dependence).
+
+    a(phi) is the operator a . phi applied to 1, so it is the
+    zero-section restriction of the symbol of a . phi.
+    """
     obs = GaussianObservable.of(phi)
     if not obs.is_base_only():
         raise ValueError("operators act on base functions only")
     if a.dim != obs.dim:
         raise DimensionMismatch(f"dim {a.dim} vs {obs.dim}")
-    out = GaussianObservable.zero(a.dim)
-    for (k, gamma), coeff in a.terms.items():
-        deriv = obs
-        for j, d in enumerate(gamma):
-            for _ in range(d):
-                deriv = deriv.diff_q(j)
-        if deriv.is_zero():
-            continue
-        out = out + GaussianObservable(coeff.mul_lambda(k), a.rate) * deriv
-    return out
+    return op_compose(a, SchrodingerOperator._of(obs)).symbol.restrict_zero_section()
 
 
 def pi0(f: Observable) -> SchrodingerOperator:
@@ -309,15 +303,10 @@ def pi0(f: Observable) -> SchrodingerOperator:
     evaluated through the zero section.
     """
     g = s_map(f, "forward")
-    n = g.dim
-    out: dict[OpKey, PhasePolynomial] = {}
-    for (k, alpha, beta), c in g.body.terms.items():
-        order = sum(beta)
-        key = (k + order, beta)
-        coeff = PhasePolynomial(n, {(0, alpha, (0,) * n): c * i_power(-order)})
-        prev = out.get(key)
-        out[key] = coeff if prev is None else prev + coeff
-    return SchrodingerOperator(n, out, g.rate)
+    symbol = {(k + sum(beta), alpha, beta): c * i_power(-sum(beta))
+              for (k, alpha, beta), c in g.body.terms.items()}
+    return SchrodingerOperator._of(
+        GaussianObservable(PhasePolynomial._from_clean(g.dim, symbol), g.rate))
 
 
 def weyl_symmetrize_oracle(alpha: Sequence[int], beta: Sequence[int]) -> SchrodingerOperator:
@@ -334,8 +323,8 @@ def weyl_symmetrize_oracle(alpha: Sequence[int], beta: Sequence[int]) -> Schrodi
         raise DimensionMismatch("multi-index lengths differ")
     n = len(alpha)
     total = sum(alpha) + sum(beta)
-    if total > 8:
-        raise ValueError("operator word longer than 8 factors")
+    if total > MAX_WORD_LENGTH:
+        raise ValueError(f"operator word longer than {MAX_WORD_LENGTH} factors")
     letters: list[tuple[str, int]] = []
     for j in range(n):
         letters += [("q", j)] * alpha[j]
@@ -367,12 +356,16 @@ def weyl_check(dim: int, max_degree: int
 
     Sweeps all monomials of total degree at most ``max_degree`` in
     increasing degree and returns the number checked together with the
-    (alpha, beta) pairs where the two operators differ.  A sweep of more
+    (alpha, beta) pairs where the two operators differ.  A degree above
+    ``MAX_WORD_LENGTH``, which the oracle refuses, or a sweep of more
     than ``MAX_WEYL_MONOMIALS`` monomials raises ``BudgetExceeded``
     before any work.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    if max_degree > MAX_WORD_LENGTH:
+        raise BudgetExceeded(f"degree {max_degree} exceeds the oracle's word length "
+                             f"{MAX_WORD_LENGTH}")
     # C(top, 2n) >= top once max_degree >= 1, so a large dimension or
     # degree is refused before the binomial itself gets costly
     top = max_degree + 2 * dim

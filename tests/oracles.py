@@ -13,6 +13,12 @@ derivation, so agreement is evidence rather than tautology:
   factorized kernel replaced: D^b expanded multinomially over the 2n
   slot operators with memoized mixed partial derivatives, and S as the
   iterated Laplacian-type series.  They share no code with the kernel.
+* ``reference_pi0``, ``reference_op_compose`` and
+  ``reference_op_apply_base`` are the operator routes that the symbol
+  calculus replaced: pi0 grouped term by term into {(k, gamma): c(q)},
+  composition by the generalized Leibniz rule on those grouped terms,
+  and application by differentiating the argument term by term.  They
+  see operators only through the public constructor and ``sorted_terms``.
 * ``exact_poly_at`` evaluates a real q-polynomial at a float point in
   exact rational arithmetic, the reference for the grid tier's
   floating-point evaluator.
@@ -25,9 +31,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from starquant import ActionData, GaussianObservable, PhasePolynomial, star_commutator
+from starquant import (ActionData, GaussianObservable, PhasePolynomial, SchrodingerOperator,
+                       star_commutator)
 from starquant.errors import DimensionMismatch
 from starquant.observables import _compositions
 from starquant.scalars import I, ONE, Scalar, i_power
@@ -180,6 +187,59 @@ def reference_s_map(f, direction: str = "forward") -> GaussianObservable:
         phase = phase * sign_i
         coeff = phase * Fraction(1, 2 ** m * factorial(m))
         out = out + term.scale(coeff).mul_lambda(m)
+
+
+def reference_pi0(f) -> SchrodingerOperator:
+    """S f with each lambda^k c q^alpha p^beta grouped into the operator term
+    (-i)^|beta| c q^alpha lambda^(k+|beta|) d^beta."""
+    g = reference_s_map(f, "forward")
+    n = g.dim
+    out: dict = {}
+    for (k, alpha, beta), c in g.body.terms.items():
+        order = sum(beta)
+        key = (k + order, beta)
+        coeff = PhasePolynomial(n, {(0, alpha, (0,) * n): c * i_power(-order)})
+        out[key] = out[key] + coeff if key in out else coeff
+    return SchrodingerOperator(n, out, g.rate)
+
+
+def reference_op_compose(a: SchrodingerOperator, b: SchrodingerOperator) -> SchrodingerOperator:
+    """a . b by the generalized Leibniz rule: each derivative of a term of
+    ``a`` distributes over a term of ``b`` (envelope included)."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+    out: dict = {}
+    for (k1, g1), c1 in a.sorted_terms():
+        for (k2, g2), c2 in b.sorted_terms():
+            wrapped = GaussianObservable(c2, b.rate)
+            for delta in itertools.product(*(range(e + 1) for e in g1)):
+                binom = 1
+                for ge, de in zip(g1, delta):
+                    binom *= comb(ge, de)
+                deriv = wrapped
+                for j, d in enumerate(delta):
+                    for _ in range(d):
+                        deriv = deriv.diff_q(j)
+                if deriv.is_zero():
+                    continue
+                gamma = tuple(ge - de + g2e for ge, de, g2e in zip(g1, delta, g2))
+                coeff = (c1 * deriv.body).scale(binom)
+                key = (k1 + k2, gamma)
+                out[key] = out[key] + coeff if key in out else coeff
+    return SchrodingerOperator(a.dim, out, a.rate + b.rate)
+
+
+def reference_op_apply_base(a: SchrodingerOperator, phi: GaussianObservable) -> GaussianObservable:
+    """sum over the terms of ``a`` of lambda^k c(q) e^{-rate |q|^2} d^gamma phi."""
+    out = GaussianObservable.zero(a.dim)
+    for (k, gamma), coeff in a.sorted_terms():
+        deriv = phi
+        for j, d in enumerate(gamma):
+            for _ in range(d):
+                deriv = deriv.diff_q(j)
+        if not deriv.is_zero():
+            out = out + GaussianObservable(coeff.mul_lambda(k), a.rate) * deriv
+    return out
 
 
 def exact_poly_at(poly: PhasePolynomial, x: float) -> Fraction:

@@ -86,6 +86,30 @@ def test_weyl_check_budget_exits_3_fast(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_weyl_check_degree_past_word_limit_exits_3_fast(capsys):
+    # dim 1, degree 9 is only C(11, 2) = 55 monomials, but the oracle
+    # refuses words of more than 8 factors: refused before any sweep
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weyl-check", "--max-degree", "9", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "BudgetExceeded"
+
+
+def test_hierarchy_order_budget_exits_3_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wkb", "hierarchy", "--ham", "p^2+1-q^2",
+                         "--action", "q^2/2", "--energy", "1", "--order", "1000000",
+                         "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "BudgetExceeded"
+
+
 def test_power_budget_exits_3(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "star", "(q+p)^5000", "1", "--json")

@@ -7,18 +7,20 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from starquant import (BudgetExceeded, GaussianObservable, IntegralValue, LaurentSeries,
-                       NonIntegrable, NotInIdeal, PhasePolynomial, Scalar,
+from starquant import (BudgetExceeded, DimensionMismatch, GaussianObservable, IntegralValue,
+                       LaurentSeries, NonIntegrable, NotInIdeal, PhasePolynomial, Scalar,
                        SchrodingerOperator, conjugate, gaussian_moment,
                        gelfand_member0, inner0, inner0_factorized,
                        laurent_is_positive, momenta_decompose, omega0,
                        op_apply_base, op_compose, pi0, project_H0, star,
                        weyl_check, weyl_symmetrize_oracle)
-from starquant.gns import MAX_WEYL_MONOMIALS
+from starquant.gns import MAX_WEYL_MONOMIALS, MAX_WORD_LENGTH
 
 from conftest import base_polynomials, observables, polynomials
+from oracles import reference_op_apply_base, reference_op_compose, reference_pi0
 from test_star import random_polynomial
 
 Q = PhasePolynomial.coordinate_q(0, 1)
@@ -191,6 +193,10 @@ def test_weyl_check_sweeps_every_monomial_once():
     with pytest.raises(BudgetExceeded):
         weyl_check(2, 7)
     assert weyl_check(1, -1) == (0, [])
+    # the oracle refuses longer words, so a higher degree is refused up front
+    assert comb(MAX_WORD_LENGTH + 1 + 2, 2) <= MAX_WEYL_MONOMIALS
+    with pytest.raises(BudgetExceeded):
+        weyl_check(1, MAX_WORD_LENGTH + 1)
 
 
 @given(polynomials(dim=1, max_terms=2, max_degree=2),
@@ -217,6 +223,60 @@ def test_op_compose_matches_sequential_application():
         b = pi0(obs(random_polynomial(rng, 1, 2, 0, 1, 2)))
         phi = GaussianObservable(random_polynomial(rng, 1, 2, 0, 0, 2).restrict_zero_section(), 1)
         assert op_apply_base(op_compose(a, b), phi) == op_apply_base(a, op_apply_base(b, phi))
+
+
+def test_operator_constructor_checks():
+    assert SchrodingerOperator(1, {(0, (1,)): PhasePolynomial.zero(1)}, 3) == \
+        SchrodingerOperator.zero(1)
+    assert SchrodingerOperator.zero(1).rate == 0
+    with pytest.raises(ValueError):  # a negative derivative order
+        SchrodingerOperator(1, {(0, (-1,)): Q})
+    with pytest.raises(ValueError):
+        SchrodingerOperator(0)
+    with pytest.raises(ValueError):
+        SchrodingerOperator(1, {(0, (1,)): Q}, -1)
+    with pytest.raises(ValueError):  # coefficients are plain q-polynomials
+        SchrodingerOperator(1, {(0, (1,)): P})
+    with pytest.raises(ValueError):
+        SchrodingerOperator(1, {(0, (1,)): PhasePolynomial.lam(1)})
+    with pytest.raises(DimensionMismatch):
+        SchrodingerOperator(1, {(0, (1, 0)): Q})
+    with pytest.raises(DimensionMismatch):
+        SchrodingerOperator(2, {(0, (1, 0)): Q})
+    with pytest.raises(DimensionMismatch):
+        SchrodingerOperator.identity(1) + SchrodingerOperator.zero(2)
+
+
+RATES = st.sampled_from((0, 1, 2))
+
+
+def operators(dim: int):
+    key = st.tuples(st.integers(-1, 1), st.tuples(*([st.integers(0, 2)] * dim)))
+    terms = st.dictionaries(key, base_polynomials(dim, max_terms=2, max_degree=2),
+                            max_size=3)
+    return st.builds(SchrodingerOperator, st.just(dim), terms, RATES)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_pi0_matches_grouping_reference(data):
+    dim = data.draw(st.sampled_from((1, 2)))
+    f = data.draw(observables(dim, data.draw(RATES), max_terms=3, max_degree=2,
+                              min_lambda=-1, max_lambda=1))
+    assert pi0(f) == reference_pi0(f)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_op_compose_matches_leibniz_reference(data):
+    dim = data.draw(st.sampled_from((1, 2)))
+    a, b = data.draw(operators(dim)), data.draw(operators(dim))
+    composed = op_compose(a, b)
+    assert composed == reference_op_compose(a, b)
+    phi = data.draw(base_polynomials(dim, max_terms=2, max_degree=2))
+    vector = GaussianObservable(phi, data.draw(st.sampled_from((1, 2))))
+    assert op_apply_base(composed, vector) == reference_op_apply_base(composed, vector)
+    assert op_apply_base(composed, vector) == op_apply_base(a, op_apply_base(b, vector))
 
 
 def test_oracle_rejects_long_words():

@@ -14,14 +14,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import starquant
-from starquant import (ActionData, DimensionMismatch, GridFunction1D,
+from starquant import (ActionData, BudgetExceeded, DimensionMismatch, GridFunction1D,
                        GridTooCoarse, HamiltonJacobiViolated, PhasePolynomial,
                        Scalar, SchrodingerOperator, TurningPointError,
                        WKBSolution, eigenproblem_hierarchy, fornberg_weights,
                        hj_residual, physical_transport_equation,
                        solve_transport_1d, transport_residuals_1d,
                        verify_eigen_residual)
-from starquant.wkb import _central_weights, _eval_base_poly
+from starquant.wkb import MAX_HIERARCHY_ORDER, _central_weights, _eval_base_poly
 
 from conftest import base_polynomials, real_scalars
 from oracles import exact_poly_at
@@ -122,6 +122,11 @@ def test_hierarchy_rejections():
         eigenproblem_hierarchy(HAM, S_QUAD, 1, -1)
     with pytest.raises(DimensionMismatch):
         eigenproblem_hierarchy(PhasePolynomial.coordinate_p(0, 2) ** 2, S_QUAD, 0, 2)
+    # orders past the last nonzero one are zero padding, capped
+    assert len(eigenproblem_hierarchy(HAM, S_QUAD, 1, MAX_HIERARCHY_ORDER).orders) == \
+        MAX_HIERARCHY_ORDER + 1
+    with pytest.raises(BudgetExceeded):
+        eigenproblem_hierarchy(HAM, S_QUAD, 1, MAX_HIERARCHY_ORDER + 1)
 
 
 def test_physical_transport_equation_shape():
