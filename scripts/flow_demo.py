@@ -3,8 +3,9 @@
 For a few (H, S) pairs, prints A_t H computed by the evolution module
 and by conjugation with e^{i t S / lambda}, flagging the quantum
 correction terms (everything above lambda order zero).  The two routes
-share no code past the star product, so agreement here exercises the
-whole symbolic stack.
+share only the polynomial layer and its Leibniz-term enumerator, and
+neither calls the star kernel, so agreement here exercises the whole
+symbolic stack.
 """
 
 from __future__ import annotations

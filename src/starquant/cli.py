@@ -40,6 +40,11 @@ from .wkb import (MIN_SAMPLES, GridFunction1D, WKBSolution, _eval_base_poly,
 # stencil's roundoff, about eps/h^2 on a unit interval, exceeds 1e-4, and
 # the arrays and the JSON output grow without bound.
 MAX_SAMPLES = 2 ** 20
+# Most grid values one `wkb solve1d` may write: order + 1 amplitude grids
+# of samples + 2 * pad values each.  It admits MAX_SAMPLES at order 0;
+# 2^21 values are about 80 MB of JSON and 520 MB peak RSS, and the
+# output would otherwise grow as order^2 through the order-dependent pad.
+MAX_GRID_VALUES = 2 ** 21
 
 _PRECONDITION_ERRORS = (HamiltonJacobiViolated, TurningPointError, NonIntegrable,
                         NotInIdeal, EnvelopeMismatch, GridTooCoarse, PhaseMismatch,
@@ -249,6 +254,10 @@ def _cmd_wkb_solve1d(args):
     if n > MAX_SAMPLES:
         raise ValueError(f"at most {MAX_SAMPLES} samples, got {n}")
     pad = max(4, 2 * (args.order + 1))
+    values = (args.order + 1) * (n + 2 * pad)
+    if values > MAX_GRID_VALUES:
+        raise BudgetExceeded(f"order {args.order} on {n} samples needs {values} grid "
+                             f"values; at most {MAX_GRID_VALUES} are written")
     if args.sprime_expr is not None:
         poly = parse_observable(args.sprime_expr, 1, 0).body
         if not poly.is_base_only() or not poly.is_lambda_free() or not poly.is_real():

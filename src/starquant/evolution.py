@@ -32,12 +32,11 @@ are all pullbacks along A_{-1}.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Callable
 
 from .errors import DimensionMismatch
 from .gns import SchrodingerOperator, gelfand_member0, omega0, pi0
-from .observables import GaussianObservable, Observable, PhasePolynomial, _compositions
+from .observables import GaussianObservable, Observable, PhasePolynomial, _leibniz_terms
 from .scalars import IntegralValue, Rat, i_power
 
 
@@ -96,27 +95,14 @@ def _source_apply(f: GaussianObservable, s: ActionData) -> GaussianObservable:
     # star kernel for a first-order term that is then subtracted again;
     # that cost the transport benchmark about 6% of ops_per_s (Python 3.11,
     # 2 vCPUs, three A/B pairs).
-    n = f.dim
-    out = GaussianObservable.zero(n)
-    top = min(f.degree_p(), s.action.degree_q())
-    for b in range(3, top + 1, 2):
-        for a in _compositions(b, n):
-            ds = s.action
-            for j, e in enumerate(a):
-                for _ in range(e):
-                    ds = ds.diff_q(j)
-            if ds.is_zero():
-                continue
-            df = f
-            for j, e in enumerate(a):
-                for _ in range(e):
-                    df = df.diff_p(j)
-            if df.is_zero():
-                continue
-            denom = 1
-            for e in a:
-                denom *= factorial(e)
-            coeff = i_power(b + 1) * Fraction(1, 2 ** (b - 1) * denom)
+    out = GaussianObservable.zero(f.dim)
+    if min(f.degree_p(), s.action.degree_q()) < 3:  # R starts at order 3
+        return out
+    slots = [(j, False) for j in range(f.dim)]
+    for a, ds, df, w in _leibniz_terms(s.action, f, slots):
+        b = sum(a)
+        if b >= 3 and b % 2:
+            coeff = i_power(b + 1) * Fraction(1, 2 ** (b - 1) * w)
             out = out + (GaussianObservable(ds) * df).scale(coeff).mul_lambda(b - 1)
     return out
 

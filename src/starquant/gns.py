@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, NonIntegrable, NotInIdeal
 from .observables import (GaussianObservable, Observable, PhasePolynomial, TermKey,
-                          _compositions)
+                          _compositions, _leibniz_terms)
 from .scalars import I, IntegralValue, LaurentSeries, Rat, Scalar, ZERO, i_power
 from .star import s_map, star
 
@@ -262,20 +262,9 @@ def op_compose(a: SchrodingerOperator, b: SchrodingerOperator) -> SchrodingerOpe
     envelope of sigma_b, and envelope rates add.
     """
     a._check(b)
-    # (d_p^delta sigma_a, d_q^delta sigma_b, delta!) for each delta that
-    # leaves both factors nonzero, grown one coordinate at a time
-    parts = [(a.symbol, b.symbol, 1)]
-    for j in range(a.dim):
-        grown = []
-        for da, db, w in parts:
-            d = 0
-            while not (da.is_zero() or db.is_zero()):
-                grown.append((da, db, w))
-                d += 1
-                da, db, w = da.diff_p(j), db.diff_q(j), w * d
-        parts = grown
     out = GaussianObservable.zero(a.dim)
-    for da, db, w in parts:
+    for _, da, db, w in _leibniz_terms(a.symbol, b.symbol,
+                                       [(j, True) for j in range(a.dim)]):
         out = out + (da * db).scale(Fraction(1, w))
     return SchrodingerOperator._of(out)
 

@@ -40,6 +40,40 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+def _leibniz_terms(left, right, slots: Sequence[tuple[int, bool]]) -> list:
+    """(delta, L^delta left, R^delta right, delta!) for every multi-index
+    delta that leaves both factors nonzero.
+
+    Slot (j, p_left) takes d/dp_j of one factor and d/dq^j of the other;
+    ``p_left`` says the left one takes the momentum derivative.  delta
+    grows one slot at a time from its parent, so each derivative is taken
+    once.  The momentum side is differentiated first and a branch ends
+    when it vanishes, so a factor whose q-derivatives never vanish (an
+    envelope, a phase) costs no step past it.  Duck-typed over
+    ``diff_p``, ``diff_q`` and ``is_zero``.
+    """
+    if left.is_zero() or right.is_zero():
+        return []
+    parts = [((), left, right, 1)]
+    for j, p_left in slots:
+        p, q = (0, 1) if p_left else (1, 0)
+        grown = []
+        for delta, *pair, w in parts:
+            d = 0
+            while True:
+                grown.append((delta + (d,), pair[0], pair[1], w))
+                pair[p] = pair[p].diff_p(j)
+                if pair[p].is_zero():
+                    break
+                pair[q] = pair[q].diff_q(j)
+                if pair[q].is_zero():
+                    break
+                d += 1
+                w *= d
+        parts = grown
+    return parts
+
+
 class PhasePolynomial:
     """Polynomial in (q, p) over complex rationals, graded by lambda."""
 

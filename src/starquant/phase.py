@@ -15,20 +15,21 @@ time-t phase pair reproduces the Heisenberg flow,
 
     e^{i t S/lambda} * H * e^{-i t S/lambda} = A_t H,
 
-computed here by a completely different route than the evolution
-module (no fiber flow, no odd-order source), which makes it a sharp
-cross-check of both.
+computed here by another route than the evolution module: no fiber
+flow and no odd-order source, only the star expansion of the phase
+symbols.  The two routes share the polynomial layer and its Leibniz-term
+enumerator, and neither calls the star kernel in ``star.py``, so their
+agreement is a sharp cross-check of both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Mapping
 
 from .errors import DimensionMismatch, PhaseMismatch
 from .evolution import ActionData
-from .observables import GaussianObservable, PhasePolynomial, _compositions
+from .observables import GaussianObservable, PhasePolynomial, _leibniz_terms
 from .scalars import I, Rat, Scalar, i_power
 
 
@@ -143,33 +144,6 @@ class PhaseSymbol:
     __repr__ = __str__
 
 
-class _SymbolDerivCache:
-    def __init__(self, f: PhaseSymbol):
-        self.n = f.dim
-        zero = (0,) * self.n
-        self.cache: dict[tuple[tuple[int, ...], tuple[int, ...]], PhaseSymbol] = {
-            (zero, zero): f}
-
-    def get(self, aq: tuple[int, ...], ap: tuple[int, ...]) -> PhaseSymbol:
-        key = (aq, ap)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        for i, e in enumerate(aq):
-            if e:
-                val = self.get(aq[:i] + (e - 1,) + aq[i + 1:], ap).diff_q(i)
-                break
-        else:
-            for i, e in enumerate(ap):
-                if e:
-                    val = self.get(aq, ap[:i] + (e - 1,) + ap[i + 1:]).diff_p(i)
-                    break
-            else:  # pragma: no cover
-                raise AssertionError
-        self.cache[key] = val
-        return val
-
-
 def _as_symbol(x: "PhaseSymbol | PhasePolynomial | GaussianObservable",
                s: ActionData | None) -> PhaseSymbol:
     if isinstance(x, PhaseSymbol):
@@ -197,30 +171,14 @@ def phase_star(f: "PhaseSymbol | PhasePolynomial | GaussianObservable",
     gs = _as_symbol(g, s)
     fs._check(gs)
     n = fs.dim
-    if fs.is_zero() or gs.is_zero():
-        return PhaseSymbol(fs.s)
-    out = fs.pointwise_mul(gs)
-    bound = max(fs.degree_p() + gs.degree_p(), 0)
-    df, dg = _SymbolDerivCache(fs), _SymbolDerivCache(gs)
-    for b in range(1, bound + 1):
-        fact_b = factorial(b)
-        layer = PhaseSymbol(fs.s)
-        for combo in _compositions(b, 2 * n):
-            a, c = combo[:n], combo[n:]
-            left = df.get(a, c)
-            if left.is_zero():
-                continue
-            right = dg.get(c, a)
-            if right.is_zero():
-                continue
-            denom = 1
-            for e in combo:
-                denom *= factorial(e)
-            coeff = Scalar.of(Fraction((-1) ** sum(c) * fact_b, denom))
-            layer = layer + left.pointwise_mul(right).scale(coeff)
-        if layer.is_zero():
-            continue
-        out = out + layer.scale(i_power(b) * Fraction(1, 2 ** b * fact_b)).mul_lambda(b)
+    out = PhaseSymbol(fs.s)
+    # delta = (a, c) pairs d_q^a d_p^c f with d_p^a d_q^c g, weighted
+    # (i lambda/2)^b (-1)^|c| / (a! c!) with b = |a| + |c|
+    slots = [(j, False) for j in range(n)] + [(j, True) for j in range(n)]
+    for delta, left, right, w in _leibniz_terms(fs, gs, slots):
+        b = sum(delta)
+        coeff = i_power(b) * Fraction((-1) ** sum(delta[n:]), 2 ** b * w)
+        out = out + left.pointwise_mul(right).scale(coeff).mul_lambda(b)
     return out
 
 

@@ -36,6 +36,9 @@ Delta = sum_k d^2/(dq^k dp_k) intertwines the two orderings used by the
 state constructions; its inverse is the conjugate map with the opposite
 sign.  Per dimension it is sum_{m <= b} (-+i*lambda/2)^m/m! (b)_m
 p^(b-m) P(a, m, r).
+
+Both refuse an input whose tables would exceed a work budget, estimated
+from the exponents alone before any table is built.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, perm
 
-from .errors import DimensionMismatch
+from .errors import BudgetExceeded, DimensionMismatch
 from .observables import GaussianObservable, Observable, PhasePolynomial
 from .scalars import Scalar
 
@@ -56,6 +59,16 @@ Table = tuple[tuple[int, int, int, int, int], ...]
 # tables are keyed on envelope rates as (numerator, denominator): ints
 # hash and compare far faster than Fractions on every lookup
 RateKey = tuple[int, int]
+
+# Most table work one star, star_commutator, bidiff_M or s_map call may
+# ask for, in the units of _table_work; a larger input raises
+# BudgetExceeded before any table is built.  A unit took 1.6-6.6 us cold
+# (2 vCPUs, Python 3.11) across products and s_map with and without
+# envelopes, so the largest accepted monomial input ends within about
+# 3 s (star(q^3400, p^3400) takes 2.7 s).  star(q^200 p^200, q^200 p^200)
+# needs 3.4e5 units; the test suite and the benchmark, its left-out heavy
+# cases included, need at most 2.4e3.
+MAX_TABLE_WORK = 500_000
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -79,17 +92,70 @@ def _deriv(a: int, m: int, rate: Fraction) -> tuple[tuple[int, Fraction], ...]:
     return ((a - m, perm(a, m)),) if m <= a else ()
 
 
+def _top(a: int, m: int, rate) -> int:
+    """Highest order j <= m for which P(a, j, rate) can be nonzero."""
+    return m if rate else min(a, m)
+
+
+def _table_work(top_f: int, rate_f: Fraction, top_g: int = 0, rate_g: Fraction = 0) -> float:
+    """Work of one 1-d table from the top derivative order of each factor.
+
+    Without an envelope the derivatives P(a, 0..top) are one term each;
+    with one, P(a, j) has up to j + 1 terms and _hermite builds each from
+    scratch in j steps.  The table multiplies the terms of its factors,
+    and its integers grow with the total order n, which costs about
+    (1 + n/128)^1.5 per term (measured).
+    """
+    terms, build = 1, 0
+    for top, rate in ((top_f, rate_f), (top_g, rate_g)):
+        if rate:
+            terms *= (top + 1) * (top + 2) // 2
+            build += top * (top + 1) * (top + 2) // 6
+        else:
+            terms *= top + 1
+    return (terms + build) * (1 + (top_f + top_g) / 128) ** 1.5
+
+
+def _largest(f: GaussianObservable) -> tuple[int, int]:
+    """The largest q and p exponents of f over all dimensions."""
+    a = b = 0
+    for _, alpha, beta in f.body.terms:
+        for e in alpha:
+            if e > a:
+                a = e
+        for e in beta:
+            if e > b:
+                b = e
+    return a, b
+
+
+def _exponents(f: GaussianObservable) -> list[tuple[int, int, int]]:
+    """Per dimension, the count of distinct (q, p) exponent pairs of f and
+    its largest q and p exponents: the tables f can need there."""
+    _, alphas, betas = zip(*f.body.terms)
+    return [(len(set(zip(qs, ps))), max(qs), max(ps))
+            for qs, ps in zip(zip(*alphas), zip(*betas))]
+
+
+def _check_work(what: str, work: float) -> None:
+    if work > MAX_TABLE_WORK:
+        raise BudgetExceeded(f"{what} needs about {work:.3g} units of table work; "
+                             f"at most {MAX_TABLE_WORK} are done")
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _star_table(a: int, b: int, rk: RateKey, c: int, d: int, sk: RateKey) -> Table:
     r, s = Fraction(*rk), Fraction(*sk)
     acc: dict[tuple[int, int], Fraction] = {}
-    for n in range(b + d + 1):
-        scale = Fraction(1, 2 ** n * factorial(n))
-        for j in range(max(0, n - b), min(n, d) + 1):
-            left, right = _deriv(a, j, r), _deriv(c, n - j, s)
-            if not (left and right):
-                continue
-            w = scale * ((-1) ** (n - j) * comb(n, j) * perm(b, n - j) * perm(d, j))
+    # j q-derivatives of the left factor pair with d_p^j of the right, m of
+    # the right with d_p^m of the left; only orders with P nonzero are visited
+    rights = [_deriv(c, m, s) for m in range(_top(c, b, s) + 1)]
+    for j in range(_top(a, d, r) + 1):
+        left = _deriv(a, j, r)
+        for m, right in enumerate(rights):
+            n = j + m
+            w = Fraction((-1) ** m * comb(n, j) * perm(b, m) * perm(d, j),
+                         2 ** n * factorial(n))
             for x, u in left:
                 for y, v in right:
                     acc[n, x + y] = acc.get((n, x + y), 0) + w * u * v
@@ -99,11 +165,11 @@ def _star_table(a: int, b: int, rk: RateKey, c: int, d: int, sk: RateKey) -> Tab
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _s_table(a: int, b: int, rk: RateKey, sign: int) -> Table:
-    out = []
-    for m in range(b + 1):
+    rate, out = Fraction(*rk), []
+    for m in range(_top(a, b, rate) + 1):
         w = Fraction(sign ** m * perm(b, m), 2 ** m * factorial(m))
         out += [(m, x, b - m, *(w * u).as_integer_ratio())
-                for x, u in _deriv(a, m, Fraction(*rk))]
+                for x, u in _deriv(a, m, rate)]
     return tuple(out)
 
 
@@ -154,6 +220,16 @@ def _moyal(f: Observable, g: Observable, order: int | None = None,
     if fo.dim != go.dim:
         raise DimensionMismatch(f"dim {fo.dim} vs {go.dim}")
     dim, r, s = fo.dim, fo.rate, go.rate
+    # table work is monotone in the exponents, so the largest ones bound
+    # every table a dimension can need
+    (a, b), (c, d) = _largest(fo), _largest(go)
+    pairs = len(fo.body.terms) * len(go.body.terms)
+    if pairs * dim * _table_work(_top(a, d, r), r, _top(c, b, s), s) > MAX_TABLE_WORK:
+        # that bound takes every term pair in every dimension; count only
+        # the distinct tables each dimension can need before refusing
+        _check_work("the product", sum(
+            nf * ng * _table_work(_top(a, d, r), r, _top(c, b, s), s)
+            for (nf, a, b), (ng, c, d) in zip(_exponents(fo), _exponents(go))))
     rk, sk = (r.numerator, r.denominator), (s.numerator, s.denominator)
     acc: dict = {}
     for (kf, af, bf), cf in fo.body.terms.items():
@@ -207,6 +283,11 @@ def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     obs = GaussianObservable.of(f)
+    a, b = _largest(obs)
+    rate = obs.rate
+    if len(obs.body.terms) * obs.dim * _table_work(_top(a, b, rate), rate) > MAX_TABLE_WORK:
+        _check_work("the symmetrization map", sum(
+            count * _table_work(_top(a, b, rate), rate) for count, a, b in _exponents(obs)))
     sign = -1 if direction == "forward" else 1
     rk = obs.rate.numerator, obs.rate.denominator
     acc: dict = {}

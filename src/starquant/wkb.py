@@ -314,8 +314,16 @@ def solve_transport_1d(sprime: GridFunction1D, phi_prev: GridFunction1D | None,
         worst = sprime.points()[int(np.argmin(np.isfinite(sp)))]
         raise ValueError(f"S' is not finite near q = {worst:.6g}")
     if np.any(sp <= 0):
+        inner = sprime.interior().real
+        if np.any(inner <= 0):
+            worst = sprime.points()[sprime.pad + int(np.argmin(inner))]
+            raise TurningPointError(f"S' is not strictly positive near q = {worst:.6g}")
         worst = sprime.points()[int(np.argmin(sp))]
-        raise TurningPointError(f"S' is not strictly positive near q = {worst:.6g}")
+        raise TurningPointError(
+            f"S' is not strictly positive near q = {worst:.6g}, in the ghost padding: "
+            f"{sprime.pad} samples ({sprime.pad * sprime.h:.6g} wide) beyond each end "
+            f"of [{sprime.a:.6g}, {sprime.b:.6g}] for the stencils; use more samples "
+            "or a lower order, which narrows the padding")
     inv_sqrt = 1.0 / np.sqrt(sp)
 
     if phi_prev is None:

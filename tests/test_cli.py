@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from starquant import GridFunction1D
-from starquant.cli import MAX_SAMPLES, main
+from starquant.cli import MAX_GRID_VALUES, MAX_SAMPLES, main
 
 STAR_QP_JSON = ('{"dim": 1, "envelope": "0/1", "terms": ['
                 '{"l": 0, "q": [1], "p": [1], "re": "1/1", "im": "0/1"}, '
@@ -121,6 +121,26 @@ def test_power_budget_exits_3(capsys):
     # a power of a monomial has one term, whatever the exponent
     code, out, _ = run(capsys, "star", "q^2000", "1")
     assert (code, out) == (0, "q^2000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "q^2000*p^2000", "q^2000*p^2000"],
+    ["star", "q^1000", "p^1000", "--envelope", "1"],
+    ["smap", "q^300*p^300", "--envelope", "1"],
+    ["smap", "q^100000000*p^100000000"]])
+def test_table_work_budget_exits_3_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--json")
+    assert time.perf_counter() - start < 1.0
+    assert_one_error_line(code, out, err, "BudgetExceeded")
+
+
+def test_pi0_of_a_huge_momentum_power_is_fast(capsys):
+    # s_map visits only the derivative orders that can be nonzero: one here
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pi0", "p^100000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "lambda^100000000*d^100000000\n")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -366,6 +386,52 @@ def test_solve1d_rejects_samples_out_of_range(capsys, monkeypatch, samples, erro
                          "--interval", "1", "2", "--samples", samples,
                          "--order", "0", "--bc", "1", "--json")
     assert_one_error_line(code, out, err, error)
+
+
+class GridBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("samples, order, admitted", [
+    (str(MAX_SAMPLES), "0", True), ("16384", "3", True), ("16384", "123", True),
+    ("16384", "124", False), (str(MAX_SAMPLES), "1", False), ("16", "1000000", False)])
+def test_solve1d_grid_value_budget(capsys, monkeypatch, samples, order, admitted):
+    # (order + 1) grids of samples + 2 * pad values, pad = max(4, 2 (order + 1))
+    def no_grid(*args):
+        raise GridBuilt
+
+    monkeypatch.setattr(GridFunction1D, "from_callable", staticmethod(no_grid))
+    argv = ["wkb", "solve1d", "--sprime-expr", "q", "--interval", "1", "2",
+            "--samples", samples, "--order", order, "--bc", "1", "--json"]
+    pad = max(4, 2 * (int(order) + 1))
+    assert ((int(order) + 1) * (int(samples) + 2 * pad) <= MAX_GRID_VALUES) == admitted
+    if admitted:
+        with pytest.raises(GridBuilt):
+            main(argv)
+    else:
+        code, out, err = run(capsys, *argv)
+        assert_one_error_line(code, out, err, "BudgetExceeded")
+
+
+def test_solve1d_turning_point_in_padding_is_named(capsys):
+    # pad 16 of step 1/15 reaches q = -1/15, outside [1, 2] where S' = q > 0
+    code, out, err = run(capsys, "wkb", "solve1d", "--sprime-expr", "q",
+                         "--interval", "1", "2", "--samples", "16",
+                         "--order", "7", "--bc", "1", "--json")
+    assert_one_error_line(code, out, err, "TurningPointError")
+    message = json.loads(err)["message"]
+    assert "ghost padding" in message and "16 samples" in message
+    assert "more samples" in message and "lower order" in message
+    # order 6 pads by 14 samples and stays at q > 0
+    code, out, _ = run(capsys, "wkb", "solve1d", "--sprime-expr", "q",
+                       "--interval", "1", "2", "--samples", "16",
+                       "--order", "6", "--bc", "1", "--json")
+    assert code == 0 and len(json.loads(out)["orders"]) == 7
+    # a turning point inside the interval keeps the plain message
+    code, _, err = run(capsys, "wkb", "solve1d", "--sprime-expr", "q",
+                       "--interval", "-1", "1", "--samples", "64",
+                       "--order", "0", "--bc", "1")
+    assert code == 3 and "padding" not in json.loads(err)["message"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -107,6 +107,14 @@ def test_evolution_matches_picard_oracle():
         assert evolve(f, t, s) == picard_evolve(f, t, s)
 
 
+def test_evolution_matches_picard_oracle_at_high_orders():
+    # p- and q-degrees of at least 4 reach tail orders b = 4 and 5; the
+    # even one must cancel and the odd one must carry lambda^4
+    for s in (ACTIONS_1D[2], ActionData(Q ** 5 - Q ** 4 * Fraction(1, 3))):
+        for f in (obs(P ** 5 + Q * P ** 4), GaussianObservable(Q * Q * P ** 6, 1)):
+            assert evolve(f, Fraction(-1, 2), s) == picard_evolve(f, Fraction(-1, 2), s)
+
+
 def test_t_polynomial_sums_to_evolve():
     for f, t, s in random_cases(random.Random(577215), 16):
         coeffs = evolve_t_polynomial(f, s)

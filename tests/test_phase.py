@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starquant import (ActionData, GaussianObservable, PhasePolynomial,
                        PhaseMismatch, PhaseSymbol, Scalar, conjugate_by_phase,
                        evolve, phase_star)
 
 from conftest import polynomials
+from oracles import reference_star
 from test_star import random_polynomial
 
 Q = PhasePolynomial.coordinate_q(0, 1)
@@ -56,6 +58,28 @@ def test_bare_phases_compose_under_star():
     unit = phase_star(PhaseSymbol.pure_phase(S_CUBE, 1),
                       PhaseSymbol.pure_phase(S_CUBE, -1))
     assert unit == PhaseSymbol.from_polynomial(S_CUBE, PhasePolynomial.one(1))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    dim = draw(st.integers(1, 2))
+    # dim 2 gets lower degrees so the reference expansion stays quick
+    draw_poly = polynomials(dim, max_terms=3, max_degree=4 - dim, min_lambda=-1,
+                            max_lambda=1)
+    return draw(draw_poly), draw(draw_poly)
+
+
+@given(polynomial_pairs())
+@settings(max_examples=60)
+def test_phase_star_at_tau_zero_matches_reference_star(pair):
+    # with no phase, phase_star is the Weyl star product; the reference is
+    # the generic multinomial expansion of the test oracles
+    f, g = pair
+    q = PhasePolynomial.coordinate_q(0, f.dim)
+    s = ActionData(q * q * q)
+    want = PhaseSymbol.from_polynomial(s, reference_star(f, g).body)
+    assert phase_star(PhaseSymbol.from_polynomial(s, f), g) == want
+    assert phase_star(f, PhaseSymbol.from_polynomial(s, g)) == want
 
 
 def test_momentum_against_phase():

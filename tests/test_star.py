@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
 from math import factorial, perm
@@ -8,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starquant import (EnvelopeMismatch, GaussianObservable, PhasePolynomial,
-                       Scalar, bidiff_M, conjugate, i_power, s_map, star,
-                       star_commutator)
+from starquant import (BudgetExceeded, EnvelopeMismatch, GaussianObservable,
+                       PhasePolynomial, Scalar, bidiff_M, conjugate, i_power, s_map,
+                       star, star_commutator)
 
 from conftest import observables, polynomials
 from oracles import (bopp_star, reference_bidiff_M, reference_order_bound,
                      reference_s_map, reference_star, reference_star_commutator)
+
+# the module, not the function that the package exports under the same name
+kernel = importlib.import_module("starquant.star")
 
 Q = PhasePolynomial.coordinate_q(0, 1)
 P = PhasePolynomial.coordinate_p(0, 1)
@@ -200,3 +204,30 @@ def test_large_monomial_product_closed_form():
                                                               2 ** n * factorial(n))
               for n in range(min(a, d) + 1)}
     assert star(obs(Q ** a), obs(P ** d)) == obs(PhasePolynomial(1, expect))
+
+
+def test_table_work_budget_refuses_before_any_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table built for an input over the work budget")
+
+    for name in ("_star_table", "_s_table", "_hermite"):
+        monkeypatch.setattr(kernel, name, no_table)
+    big = obs(Q ** 2000 * P ** 2000)
+    for call in (lambda: star(big, big), lambda: star_commutator(big, big),
+                 lambda: bidiff_M(big, big, 3),
+                 lambda: star(GaussianObservable(Q ** 1000, 1), GaussianObservable(P ** 1000, 1)),
+                 lambda: s_map(GaussianObservable(Q ** 300 * P ** 300, 1)),
+                 lambda: s_map(obs(Q ** 100000000 * P ** 100000000), "backward")):
+        with pytest.raises(BudgetExceeded):
+            call()
+    # a sum of many moderate terms counts every table it may need
+    spread = obs(sum((Q ** e * P ** e for e in range(100, 140)), PhasePolynomial.zero(1)))
+    with pytest.raises(BudgetExceeded):
+        star(spread, spread)
+
+
+def test_table_work_budget_admits_large_monomials():
+    # one nonzero derivative order each: no work past the first entry
+    assert star(obs(P ** 100000000), obs(P ** 100000000)) == obs(P ** 200000000)
+    assert s_map(obs(P ** 100000000)) == obs(P ** 100000000)
+    assert star(obs(Q ** 2000), obs(PhasePolynomial.one(1))) == obs(Q ** 2000)
