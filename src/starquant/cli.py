@@ -41,9 +41,10 @@ from .wkb import (MIN_SAMPLES, GridFunction1D, WKBSolution, _eval_base_poly,
 # the arrays and the JSON output grow without bound.
 MAX_SAMPLES = 2 ** 20
 # Most grid values one `wkb solve1d` may write: order + 1 amplitude grids
-# of samples + 2 * pad values each.  It admits MAX_SAMPLES at order 0;
-# 2^21 values are about 80 MB of JSON and 520 MB peak RSS, and the
-# output would otherwise grow as order^2 through the order-dependent pad.
+# of samples + 2 * pad values each.  It admits MAX_SAMPLES at order 0,
+# 1048584 values, which write 51.6 MB of JSON at 341 MB peak RSS (Python
+# 3.11); the output would otherwise grow as order^2 through the
+# order-dependent pad.
 MAX_GRID_VALUES = 2 ** 21
 
 _PRECONDITION_ERRORS = (HamiltonJacobiViolated, TurningPointError, NonIntegrable,

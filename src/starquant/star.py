@@ -65,9 +65,12 @@ RateKey = tuple[int, int]
 # BudgetExceeded before any table is built.  A unit took 1.6-6.6 us cold
 # (2 vCPUs, Python 3.11) across products and s_map with and without
 # envelopes, so the largest accepted monomial input ends within about
-# 3 s (star(q^3400, p^3400) takes 2.7 s).  star(q^200 p^200, q^200 p^200)
-# needs 3.4e5 units; the test suite and the benchmark, its left-out heavy
-# cases included, need at most 2.4e3.
+# 3 s (star(q^3400, p^3400) takes 2.7 s).  A product needs one table per
+# dimension for each distinct (q, p) exponent pair of f met with one of
+# g, priced at those exponents alone.  star(q^200 p^200, q^200 p^200)
+# needs 3.4e5 units; the test
+# suite needs at most 2.0e3 and the benchmark, its left-out heavy cases
+# included, 8.5e2.
 MAX_TABLE_WORK = 500_000
 
 
@@ -97,8 +100,10 @@ def _top(a: int, m: int, rate) -> int:
     return m if rate else min(a, m)
 
 
-def _table_work(top_f: int, rate_f: Fraction, top_g: int = 0, rate_g: Fraction = 0) -> float:
-    """Work of one 1-d table from the top derivative order of each factor.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _table_work(top_f: int, env_f: bool, top_g: int = 0, env_g: bool = False) -> float:
+    """Work of one 1-d table from the top derivative order of each factor
+    and whether it carries an envelope.
 
     Without an envelope the derivatives P(a, 0..top) are one term each;
     with one, P(a, j) has up to j + 1 terms and _hermite builds each from
@@ -107,8 +112,8 @@ def _table_work(top_f: int, rate_f: Fraction, top_g: int = 0, rate_g: Fraction =
     (1 + n/128)^1.5 per term (measured).
     """
     terms, build = 1, 0
-    for top, rate in ((top_f, rate_f), (top_g, rate_g)):
-        if rate:
+    for top, env in ((top_f, env_f), (top_g, env_g)):
+        if env:
             terms *= (top + 1) * (top + 2) // 2
             build += top * (top + 1) * (top + 2) // 6
         else:
@@ -129,12 +134,13 @@ def _largest(f: GaussianObservable) -> tuple[int, int]:
     return a, b
 
 
-def _exponents(f: GaussianObservable) -> list[tuple[int, int, int]]:
-    """Per dimension, the count of distinct (q, p) exponent pairs of f and
-    its largest q and p exponents: the tables f can need there."""
+def _exponent_pairs(f: GaussianObservable) -> list[set[tuple[int, int]]]:
+    """Per dimension, the distinct (q, p) exponent pairs of f's terms: each
+    pair with one of the other factor's asks for one table there."""
+    if not f.body.terms:
+        return [set() for _ in range(f.dim)]
     _, alphas, betas = zip(*f.body.terms)
-    return [(len(set(zip(qs, ps))), max(qs), max(ps))
-            for qs, ps in zip(zip(*alphas), zip(*betas))]
+    return [set(zip(qs, ps)) for qs, ps in zip(zip(*alphas), zip(*betas))]
 
 
 def _check_work(what: str, work: float) -> None:
@@ -220,16 +226,19 @@ def _moyal(f: Observable, g: Observable, order: int | None = None,
     if fo.dim != go.dim:
         raise DimensionMismatch(f"dim {fo.dim} vs {go.dim}")
     dim, r, s = fo.dim, fo.rate, go.rate
-    # table work is monotone in the exponents, so the largest ones bound
-    # every table a dimension can need
+    env_f, env_g = r != 0, s != 0
+    # pricing every term pair at the largest exponents bounds the work
+    # from above in a fraction of the time (0.8-1.5 ms against 4.0-6.8 ms
+    # per assoc benchmark cycle, whose products take 42-53 ms on 2 vCPUs),
+    # so only an input that bound does not admit is priced table by table
     (a, b), (c, d) = _largest(fo), _largest(go)
     pairs = len(fo.body.terms) * len(go.body.terms)
-    if pairs * dim * _table_work(_top(a, d, r), r, _top(c, b, s), s) > MAX_TABLE_WORK:
-        # that bound takes every term pair in every dimension; count only
-        # the distinct tables each dimension can need before refusing
+    if pairs * dim * _table_work(_top(a, d, env_f), env_f, _top(c, b, env_g), env_g) \
+            > MAX_TABLE_WORK:
         _check_work("the product", sum(
-            nf * ng * _table_work(_top(a, d, r), r, _top(c, b, s), s)
-            for (nf, a, b), (ng, c, d) in zip(_exponents(fo), _exponents(go))))
+            _table_work(_top(a, d, env_f), env_f, _top(c, b, env_g), env_g)
+            for fk, gk in zip(_exponent_pairs(fo), _exponent_pairs(go))
+            for a, b in fk for c, d in gk))
     rk, sk = (r.numerator, r.denominator), (s.numerator, s.denominator)
     acc: dict = {}
     for (kf, af, bf), cf in fo.body.terms.items():
@@ -283,11 +292,9 @@ def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     obs = GaussianObservable.of(f)
-    a, b = _largest(obs)
-    rate = obs.rate
-    if len(obs.body.terms) * obs.dim * _table_work(_top(a, b, rate), rate) > MAX_TABLE_WORK:
-        _check_work("the symmetrization map", sum(
-            count * _table_work(_top(a, b, rate), rate) for count, a, b in _exponents(obs)))
+    env = obs.rate != 0
+    _check_work("the symmetrization map", sum(
+        _table_work(_top(a, b, env), env) for pairs in _exponent_pairs(obs) for a, b in pairs))
     sign = -1 if direction == "forward" else 1
     rk = obs.rate.numerator, obs.rate.denominator
     acc: dict = {}

@@ -226,6 +226,18 @@ def test_table_work_budget_refuses_before_any_table(monkeypatch):
         star(spread, spread)
 
 
+def test_table_work_budget_counts_each_term_pair_at_its_own_exponents():
+    # the tables are (150,0|0,150), (0,150|150,0) and two with one entry;
+    # pricing each at the largest q and p exponents overall refused it
+    f = obs(Q ** 150 + P ** 150)
+    assert star(f, f) == sum((star(obs(x), obs(y)) for x in (Q ** 150, P ** 150)
+                              for y in (Q ** 150, P ** 150)), obs(PhasePolynomial.zero(1)))
+    spread = obs(sum((Q ** (12 * k) + P ** (12 * k) for k in range(1, 6)),
+                     PhasePolynomial.zero(1)))
+    assert star(spread, spread).body.terms
+    assert s_map(obs(Q ** 3000 + P ** 3000)) == obs(Q ** 3000 + P ** 3000)
+
+
 def test_table_work_budget_admits_large_monomials():
     # one nonzero derivative order each: no work past the first entry
     assert star(obs(P ** 100000000), obs(P ** 100000000)) == obs(P ** 200000000)
