@@ -100,7 +100,6 @@ def _top(a: int, m: int, rate) -> int:
     return m if rate else min(a, m)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _table_work(top_f: int, env_f: bool, top_g: int = 0, env_g: bool = False) -> float:
     """Work of one 1-d table from the top derivative order of each factor
     and whether it carries an envelope.
