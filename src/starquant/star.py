@@ -68,9 +68,8 @@ RateKey = tuple[int, int]
 # 3 s (star(q^3400, p^3400) takes 2.7 s).  A product needs one table per
 # dimension for each distinct (q, p) exponent pair of f met with one of
 # g, priced at those exponents alone.  star(q^200 p^200, q^200 p^200)
-# needs 3.4e5 units; the test
-# suite needs at most 2.0e3 and the benchmark, its left-out heavy cases
-# included, 8.5e2.
+# needs 3.4e5 units; the test suite needs at most 2.0e3 and the
+# benchmark, its left-out heavy cases included, 8.5e2.
 MAX_TABLE_WORK = 500_000
 
 
@@ -227,8 +226,8 @@ def _moyal(f: Observable, g: Observable, order: int | None = None,
     dim, r, s = fo.dim, fo.rate, go.rate
     env_f, env_g = r != 0, s != 0
     # pricing every term pair at the largest exponents bounds the work
-    # from above in a fraction of the time (0.8-1.5 ms against 4.0-6.8 ms
-    # per assoc benchmark cycle, whose products take 42-53 ms on 2 vCPUs),
+    # from above in a fraction of the time (0.8-1.5 ms against 5.9-6.8 ms
+    # per assoc benchmark cycle, whose products take 52-54 ms on 2 vCPUs),
     # so only an input that bound does not admit is priced table by table
     (a, b), (c, d) = _largest(fo), _largest(go)
     pairs = len(fo.body.terms) * len(go.body.terms)
