@@ -13,6 +13,7 @@ to stderr as a one-line JSON body with the diagnostic attached.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -307,7 +308,9 @@ def _cmd_wkb_solve1d(args):
 # -- parser construction -----------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once a process: parsing leaves it unchanged."""
     parser = _ArgumentParser(prog="starquant",
                              description="exact Weyl star-product workbench")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -409,9 +412,8 @@ def _emit_error(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
     try:

@@ -46,6 +46,12 @@ MAX_WORD_LENGTH = 8
 # degree 8 (495) takes 50 s.
 MAX_WEYL_MONOMIALS = 300
 
+# Largest exponent gaussian_moment takes.  (e-1)!! is e/2 big-integer
+# products: e = 10^4 takes about 9 ms, 10^5 1.3 s and 2*10^5 4 s on
+# 2 vCPUs, and 10^8 runs for minutes.  Tests and benchmark workloads stay
+# far below it.
+MAX_MOMENT_EXPONENT = 10_000
+
 
 def _double_factorial(n: int) -> int:
     out = 1
@@ -59,10 +65,13 @@ def gaussian_moment(exponent: int, rate: Fraction) -> Fraction:
     """integral of x^exponent e^{-rate x^2} dx over R, divided by sqrt(pi/rate).
 
     Odd exponents integrate to zero; even ones give
-    (exponent-1)!! / (2 rate)^(exponent/2).
+    (exponent-1)!! / (2 rate)^(exponent/2); even exponents above
+    ``MAX_MOMENT_EXPONENT`` raise ``BudgetExceeded``.
     """
     if exponent % 2 == 1:
         return Fraction(0)
+    if exponent > MAX_MOMENT_EXPONENT:
+        raise BudgetExceeded(f"moment exponent {exponent} exceeds {MAX_MOMENT_EXPONENT}")
     m = exponent // 2
     return Fraction(_double_factorial(exponent - 1), 1) / (2 * rate) ** m
 

@@ -9,9 +9,12 @@ canonical order, which makes output byte-reproducible.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .errors import BudgetExceeded
 from .scalars import IntegralValue, LaurentSeries, Scalar
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -20,23 +23,45 @@ if TYPE_CHECKING:  # pragma: no cover
     from .wkb import GridFunction1D, TransportHierarchy, WKBSolution
 
 
+_LOG10_2 = math.log10(2)
+
+
+def _int_str(n: int) -> str:
+    """Decimal form of n; BudgetExceeded past the interpreter's digit limit.
+
+    The digit count comes from the bit length, so an integer too long
+    to print is refused without converting it; the interpreter-wide
+    limit (``sys.set_int_max_str_digits``) is left as it is.
+    """
+    limit = sys.get_int_max_str_digits()
+    bits = abs(n).bit_length()
+    if limit and bits * _LOG10_2 >= limit:
+        digits = int((bits - 1) * _LOG10_2) + 1
+        if abs(n) >= 10 ** digits:
+            digits += 1
+        if digits > limit:
+            raise BudgetExceeded(f"an integer of {digits} digits exceeds the limit of "
+                                 f"{limit} digits for printing")
+    return str(n)
+
+
 def frac_str(x: Fraction) -> str:
     """Fixed num/den form used everywhere in JSON."""
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def _human(x: Fraction) -> str:
-    return str(x)
+    return _int_str(x.numerator) if x.denominator == 1 else frac_str(x)
 
 
 def _imag_factor(mag: Fraction) -> str:
     if mag == 1:
         return "i"
     if mag.denominator == 1:
-        return f"{mag.numerator}*i"
+        return f"{_int_str(mag.numerator)}*i"
     if mag.numerator == 1:
-        return f"i/{mag.denominator}"
-    return f"{mag.numerator}*i/{mag.denominator}"
+        return f"i/{_int_str(mag.denominator)}"
+    return f"{_int_str(mag.numerator)}*i/{_int_str(mag.denominator)}"
 
 
 def _mixed(c: Scalar) -> str:

@@ -30,9 +30,12 @@ so grid functions carry their own pad width.  Grids are built with one
 vectorized numpy pass: ``GridFunction1D.from_callable`` calls its
 function once on the whole array of points, and a polynomial S' is
 evaluated in floating point by ``_eval_base_poly``, to within a few
-ulps of sum_k |c_k| |q|^k.  scipy is loaded on first use only, by the
-running integral and by spline resampling, so importing the package
-stays cheap.
+ulps of sum_k |c_k| |q|^k.  The running integral and the spline
+resampling of file data are small numpy routines here, so the numeric
+tier needs numpy alone: ``_cumulative_simpson`` repeats the operations
+of scipy's equal-step ``cumulative_simpson`` and gives the same bits,
+and ``_not_a_knot_spline`` solves the not-a-knot cubic spline's slope
+system in one O(n) sweep.
 """
 
 from __future__ import annotations
@@ -199,6 +202,68 @@ def _central_weights(order: int) -> tuple[int, tuple[float, ...]]:
     return radius, tuple(float(w) for w in weights)
 
 
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Running composite Simpson integral of samples y with step h.
+
+    Bit for bit scipy's ``cumulative_simpson(y, dx=h, initial=0.0)``
+    on real y, and on each part of complex y, by the same operations in
+    the same order: each step integrates the parabola through its two
+    ends and the next sample, forward on y and backward on y reversed;
+    even steps come from the forward pass, odd steps and the last one
+    from the backward pass.  Adding 0.0 after the sum turns -0.0 into
+    0.0, as scipy's ``initial`` does, which also undoes the zero signs
+    that complex products by real constants may flip.
+    """
+    def steps(f: np.ndarray) -> np.ndarray:
+        return h / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+    forward, backward = steps(y), steps(y[::-1])[::-1]
+    pieces = np.empty(len(y) - 1, dtype=forward.dtype)
+    pieces[:-1:2] = forward[::2]
+    pieces[1::2] = backward[::2]
+    pieces[-1] = backward[-1]
+    return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
+
+
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline through (x, y), evaluated at pts.
+
+    x is strictly increasing with at least four entries.  The knot
+    slopes solve scipy ``CubicSpline``'s tridiagonal system: row i of
+    the interior matches second derivatives at x[i], and the end rows
+    make the third derivative continuous at x[1] and x[-2].  One Thomas
+    sweep solves it in O(n) without pivoting: every pivot stays
+    positive (eliminating row 0 leaves row 1 the pivot dx[0] + dx[1]).
+    Each point takes the cubic of its interval, the end ones
+    extrapolating.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = np.concatenate(([0.0], dx[1:], [d1])).tolist()
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+    upper = np.concatenate(([d0], dx[:-1], [0.0])).tolist()
+    rhs = np.concatenate((
+        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1])).tolist()
+    n = len(diag)
+    for i in range(1, n):
+        m = lower[i] / diag[i - 1]
+        diag[i] -= m * upper[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    s = [0.0] * n
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    cubic, square = t / dx, (slope - s[:-1]) / dx - t
+    i = np.clip(np.searchsorted(x, pts, side="right") - 1, 0, n - 2)
+    u = pts - x[i]
+    return ((cubic[i] * u + square[i]) * u + s[i]) * u + y[i]
+
+
 @dataclass
 class GridFunction1D:
     """Complex samples on a uniform grid over [a, b] with ghost padding.
@@ -244,9 +309,7 @@ class GridFunction1D:
     @staticmethod
     def from_samples(qs: Sequence[float], vs: Sequence[float], a: float, b: float,
                      n: int, pad: int) -> "GridFunction1D":
-        """Cubic resampling of scattered (q, value) data onto the grid."""
-        from scipy.interpolate import CubicSpline
-
+        """Not-a-knot cubic resampling of scattered (q, value) data onto the grid."""
         qs = np.asarray(qs, dtype=float)
         vs = np.asarray(vs, dtype=float)
         if len(qs) != len(vs) or len(qs) < 4:
@@ -257,10 +320,9 @@ class GridFunction1D:
         qs, vs = qs[order], vs[order]
         if np.any(np.diff(qs) <= 0):
             raise ValueError("sample abscissae must be distinct")
-        spline = CubicSpline(qs, vs, extrapolate=True)
         h = (b - a) / (n - 1)
         pts = a + h * np.arange(-pad, n + pad)
-        return GridFunction1D(a, b, n, pad, spline(pts))
+        return GridFunction1D(a, b, n, pad, _not_a_knot_spline(qs, vs, pts))
 
     def same_grid(self, other: "GridFunction1D") -> bool:
         return self.a == other.a and self.b == other.b and self.n == other.n
@@ -332,17 +394,12 @@ def solve_transport_1d(sprime: GridFunction1D, phi_prev: GridFunction1D | None,
 
     if not sprime.same_grid(phi_prev):
         raise ValueError("S' and the previous amplitude live on different grids")
-    from scipy.integrate import cumulative_simpson
-
     d2 = phi_prev.derivative(2)
     pad = min(sprime.pad, d2.pad)
     d2 = d2.shrink_to(pad)
     sp_v = sprime.shrink_to(pad)
     inv = 1.0 / np.sqrt(sp_v.values.real)
-    integrand = 0.5j * inv * d2.values
-    # scipy's cumulative Simpson is real-only; integrate the parts
-    running = (cumulative_simpson(integrand.real, dx=sp_v.h, initial=0.0)
-               + 1j * cumulative_simpson(integrand.imag, dx=sp_v.h, initial=0.0))
+    running = _cumulative_simpson(0.5j * inv * d2.values, sp_v.h)
     running = running - running[pad]  # anchor the integral at q = a
     c0 = boundary * np.sqrt(sp_v.values.real[pad])
     return GridFunction1D(sprime.a, sprime.b, sprime.n, pad, inv * (c0 + running))

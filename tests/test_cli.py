@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from starquant import GridFunction1D
-from starquant.cli import MAX_GRID_VALUES, MAX_SAMPLES, main
+from starquant.cli import MAX_GRID_VALUES, MAX_SAMPLES, _build_parser, main
 
 STAR_QP_JSON = ('{"dim": 1, "envelope": "0/1", "terms": ['
                 '{"l": 0, "q": [1], "p": [1], "re": "1/1", "im": "0/1"}, '
@@ -141,6 +141,45 @@ def test_pi0_of_a_huge_momentum_power_is_fast(capsys):
     code, out, _ = run(capsys, "pi0", "p^100000000")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (0, "lambda^100000000*d^100000000\n")
+
+
+def test_huge_moment_exits_3_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "omega0", "q^100000000", "--envelope", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ("smap", "q^2000*p^2000", "--json"),
+    ("star", "2^20000*q", "p"),
+])
+def test_integers_past_the_digit_limit_exit_3_with_budget_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    body = json.loads(err)
+    assert body["error"] == "BudgetExceeded"
+    assert "digits exceeds the limit of 4300 digits" in body["message"]
+
+
+def test_reused_parser_matches_fresh_parsers(capsys):
+    calls = (
+        ("star", "q", "p", "--json"),
+        ("star", "q+p", "q-p"),
+        ("wkb", "solve1d", "--sprime-expr", "q", "--interval", "1", "2",
+         "--samples", "16", "--order", "1", "--bc", "1", "--json"),
+        ("star", "q", "--json"),
+        ("star", "q^-1", "p"),
+        ("star", "q", "p", "--json"),
+    )
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0]
 
 
 def test_usage_errors_exit_2(capsys):

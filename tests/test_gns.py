@@ -17,7 +17,7 @@ from starquant import (BudgetExceeded, DimensionMismatch, GaussianObservable, In
                        laurent_is_positive, momenta_decompose, omega0,
                        op_apply_base, op_compose, pi0, project_H0, star,
                        weyl_check, weyl_symmetrize_oracle)
-from starquant.gns import MAX_WEYL_MONOMIALS, MAX_WORD_LENGTH
+from starquant.gns import MAX_MOMENT_EXPONENT, MAX_WEYL_MONOMIALS, MAX_WORD_LENGTH
 
 from conftest import base_polynomials, observables, polynomials
 from oracles import reference_op_apply_base, reference_op_compose, reference_pi0
@@ -45,6 +45,13 @@ def test_gaussian_moment_frozen_values():
     assert gaussian_moment(4, Fraction(1)) == Fraction(3, 4)
     assert gaussian_moment(6, Fraction(2)) == Fraction(15, 64)
     assert gaussian_moment(3, Fraction(5)) == 0
+
+
+def test_gaussian_moment_exponent_budget():
+    assert gaussian_moment(MAX_MOMENT_EXPONENT, Fraction(1)) > 0
+    assert gaussian_moment(10 ** 8 + 1, Fraction(1)) == 0  # odd: no product
+    with pytest.raises(BudgetExceeded):
+        gaussian_moment(MAX_MOMENT_EXPONENT + 2, Fraction(1))
 
 
 def test_gaussian_moment_against_quadrature():

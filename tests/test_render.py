@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from starquant import (ActionData, GaussianObservable, GridFunction1D,
+from starquant import (ActionData, BudgetExceeded, GaussianObservable, GridFunction1D,
                        IntegralValue, LaurentSeries, PhasePolynomial, Scalar,
                        SchrodingerOperator, eigenproblem_hierarchy, pi0, star)
 from starquant.render import (dumps, frac_str, grid_json, observable_json,
@@ -22,6 +24,20 @@ def test_frac_str_always_carries_a_denominator():
     assert frac_str(Fraction(0)) == "0/1"
     assert frac_str(Fraction(-3, 4)) == "-3/4"
     assert frac_str(Fraction(6, 4)) == "3/2"
+
+
+def test_integers_past_the_digit_limit_are_refused_by_length():
+    limit = sys.get_int_max_str_digits()
+    widest = 10 ** limit - 1  # limit digits: printed
+    assert frac_str(Fraction(-widest, 7)) == f"-{widest}/7"
+    assert pretty_polynomial(Q.scale(Fraction(1, widest))) == f"1/{widest}*q"
+    for huge in (Fraction(10 ** limit), Fraction(1, -10 ** limit),
+                 Fraction(3, 10 ** (2 * limit))):
+        with pytest.raises(BudgetExceeded, match="digits exceeds the limit"):
+            frac_str(huge)
+    with pytest.raises(BudgetExceeded, match=f"{limit + 1} digits"):
+        pretty_polynomial(Q.scale(Scalar(Fraction(0), Fraction(10 ** limit))))
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_pretty_polynomial_frozen_forms():

@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+import json
 import os
 import subprocess
 import sys
@@ -21,7 +22,8 @@ from starquant import (ActionData, BudgetExceeded, DimensionMismatch, GridFuncti
                        hj_residual, physical_transport_equation,
                        solve_transport_1d, transport_residuals_1d,
                        verify_eigen_residual)
-from starquant.wkb import MAX_HIERARCHY_ORDER, _central_weights, _eval_base_poly
+from starquant.wkb import (MAX_HIERARCHY_ORDER, _central_weights, _cumulative_simpson,
+                           _eval_base_poly, _not_a_knot_spline)
 
 from conftest import base_polynomials, real_scalars
 from oracles import exact_poly_at
@@ -207,12 +209,63 @@ def test_linear_sprime_grid_is_exact():
     assert g.values.real.tolist() == [float(exact_poly_at(Q, x)) for x in g.points()]
 
 
-def test_import_does_not_load_scipy():
+def test_import_does_not_load_scipy(tmp_path):
     src = str(Path(starquant.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run(
         [sys.executable, "-c", "import starquant, sys; assert 'scipy' not in sys.modules"],
         env=env, check=True, timeout=60)
+    qs = np.linspace(-0.25, 1.25, 40)
+    path = tmp_path / "sprime.dat"
+    np.savetxt(path, np.column_stack([qs, np.sqrt(1.0 + qs ** 2)]))
+    solve = ("import sys; from starquant.cli import main; code = main(sys.argv[1:]); "
+             "assert 'scipy' not in sys.modules; sys.exit(code)")
+    for source, order in ((["--sprime-file", str(path)], "2"),
+                          (["--sprime-expr", "q"], "3")):
+        done = subprocess.run(
+            [sys.executable, "-c", solve, "wkb", "solve1d", *source, "--interval", "1", "1.2",
+             "--samples", "64", "--order", order, "--bc", "1", "--json"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert len(json.loads(done.stdout)["orders"]) == int(order) + 1
+
+
+def test_cumulative_simpson_matches_scipy_bit_for_bit():
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(11)
+    lengths = [3, 4, 5, 6, 7, 499, 500, *rng.integers(3, 501, size=200).tolist()]
+    for k, n in enumerate(lengths):
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, size=n)
+        y[rng.random(n) < 0.3] = 0.0
+        y[rng.random(n) < 0.2] = -0.0
+        if k % 10 == 0:
+            y = np.full(n, -0.0)
+        h = float(rng.uniform(1e-3, 3.0))
+        want = cumulative_simpson(y, dx=h, initial=0.0)
+        assert _cumulative_simpson(y, h).tobytes() == want.tobytes()
+        z = np.empty(n, dtype=complex)  # the solver integrates complex samples
+        z.real, z.imag = rng.standard_normal(n) * (rng.random(n) < 0.7), -y
+        got = _cumulative_simpson(z, h)
+        assert got.real.tobytes() == cumulative_simpson(z.real, dx=h, initial=0.0).tobytes()
+        assert got.imag.tobytes() == cumulative_simpson(z.imag, dx=h, initial=0.0).tobytes()
+
+
+def test_not_a_knot_spline_matches_scipy():
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(12)
+    cases = [np.array([0.0, 0.4, 1.1, 2.0]),                 # n = 4
+             np.array([0.0, 1e-4, 2e-4, 0.5, 0.5001, 1.0]),  # clustered
+             np.sort(rng.uniform(-2.0, 3.0, size=300))]
+    cases += [np.sort(rng.uniform(-1.0, 1.0, size=n)) for n in rng.integers(4, 60, size=40)]
+    for x in cases:
+        y = rng.standard_normal(len(x))
+        width = x[-1] - x[0]
+        pts = np.concatenate([np.linspace(x[0] - width / 2, x[-1] + width / 2, 301), x])
+        want = CubicSpline(x, y)(pts)
+        got = _not_a_knot_spline(x, y, pts)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_from_samples_reproduces_cubics():
