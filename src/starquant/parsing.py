@@ -132,6 +132,18 @@ class _Parser:
         found = repr(tok.text) if tok.kind != "END" else "end of input"
         raise ObservableSyntaxError(f"{expected}, found {found}", tok.line, tok.column)
 
+    @staticmethod
+    def integer(tok: _Token) -> int:
+        """The value of a NUMBER token.  int() refuses a numeral longer than
+        the interpreter's int-from-string limit (sys.get_int_max_str_digits)
+        and one of digits it does not read, such as superscripts; either is
+        a syntax error at the numeral's position."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise ObservableSyntaxError(f"unreadable numeral of {len(tok.text)} digits",
+                                        tok.line, tok.column) from None
+
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> PhasePolynomial:
@@ -214,14 +226,14 @@ class _Parser:
         if tok.kind != "NUMBER":
             self.fail("expected an integer exponent", tok)
         self.advance()
-        value = int(tok.text)
+        value = self.integer(tok)
         return -value if negative else value
 
     def base(self) -> PhasePolynomial:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return PhasePolynomial.constant(self.dim, Fraction(int(tok.text)))
+            return PhasePolynomial.constant(self.dim, Fraction(self.integer(tok)))
         if tok.kind == "NAME":
             self.advance()
             return self.named(tok)

@@ -28,8 +28,18 @@ with falling factorials (x)_m and d^m(q^a e^{-r q^2}) = P(a,m,r) e^{-r q^2}:
 order spends a momentum derivative, so n <= b + d; without envelopes P
 also vanishes past m = a, so n <= min(a,d) + min(b,c).  M_b(f, g) =
 (-1)^b M_b(g, f): the star commutator keeps the odd total orders,
-doubled, and M_b is the order-b slice.  Each output coefficient is
-summed as an integer triple (re, im, den) and reduced once at the end.
+doubled, and M_b is the order-b slice.
+
+Integer arithmetic.  As C(n,j)/n! = 1/(j! m!) with m = n - j, the
+order-n weight splits into C(d,j) P(a,j,r)/2^j times (-1)^m C(b,m)
+P(c,m,s)/2^m, and a table is the convolution of those two factors.  Each
+factor is built by one-step integer recurrences: C(a,j) (d)_j for r = 0,
+and P scaled by powers of the rate's denominator for r > 0.  A table is
+stored over its one lowest denominator D.  A term pair's denominator is
+its coefficient's times the D of each of its tables; a call puts every
+pair over the lcm L of those (one denominator per product, as FLINT's
+fmpq_poly does), adds plain integer numerators per output term, and
+reduces each output coefficient once.
 
 The symmetrization map S = exp(-(i*lambda/2) Delta) with
 Delta = sum_k d^2/(dq^k dp_k) intertwines the two orderings used by the
@@ -38,14 +48,14 @@ sign.  Per dimension it is sum_{m <= b} (-+i*lambda/2)^m/m! (b)_m
 p^(b-m) P(a, m, r).
 
 Both refuse an input whose tables would exceed a work budget, estimated
-from the exponents alone before any table is built.
+from the exponents alone before any table is built, and one whose tables
+would combine too many entries over dimensions, before any is combined.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, perm
+from math import factorial, gcd, lcm
 
 from .errors import BudgetExceeded, DimensionMismatch
 from .observables import GaussianObservable, Observable, PhasePolynomial
@@ -53,45 +63,79 @@ from .scalars import Scalar
 
 _CACHE_SIZE = 2048  # entries per kernel cache
 
-# 1-d table entries (n, x, y, num, den) stand for
-# (num/den) * (i*lambda)^n q^x p^y, with num/den in lowest terms
-Table = tuple[tuple[int, int, int, int, int], ...]
+# A 1-d table (D, entries): each entry (n, (x,), (y,), num) stands for
+# (num/D) * (i*lambda)^n q^x p^y, and D is the lowest denominator of all
+Entry = tuple[int, tuple[int, ...], tuple[int, ...], int]
+Table = tuple[int, tuple[Entry, ...]]
 # tables are keyed on envelope rates as (numerator, denominator): ints
 # hash and compare far faster than Fractions on every lookup
 RateKey = tuple[int, int]
 
 # Most table work one star, star_commutator, bidiff_M or s_map call may
 # ask for, in the units of _table_work; a larger input raises
-# BudgetExceeded before any table is built.  A unit took 1.6-6.6 us cold
-# (2 vCPUs, Python 3.11) across products and s_map with and without
-# envelopes, so the largest accepted monomial input ends within about
-# 3 s (star(q^3400, p^3400) takes 2.7 s).  A product needs one table per
+# BudgetExceeded before any table is built.  The unit was calibrated on
+# Fraction tables, at 1.6-6.6 us cold.  On the integer tables the largest
+# accepted input of each shape takes 0.03-0.17 us a unit cold (2 vCPUs,
+# Python 3.11; products and s_map, envelope rates 0 to 3), so it ends
+# within 0.1 s (star(q^3400, p^3400) takes 0.09 s).  The constant is kept
+# so that every input keeps its verdict.  A product needs one table per
 # dimension for each distinct (q, p) exponent pair of f met with one of
 # g, priced at those exponents alone.  star(q^200 p^200, q^200 p^200)
 # needs 3.4e5 units; the test suite needs at most 2.0e3 and the
 # benchmark, its left-out heavy cases included, 8.5e2.
 MAX_TABLE_WORK = 500_000
+# Most table entries one call may combine over dimensions: the sum over
+# its term pairs of the product of their 1-d table lengths.  A larger
+# input raises BudgetExceeded once its (budgeted) tables are fetched,
+# before any entry is combined.  An entry costs 0.6-2 us (2 vCPUs,
+# Python 3.11): the low end when entries pile onto few output terms
+# (dim-3 enveloped products), the high end when each is an output term
+# of its own (dim 7, 6^7 entries, 0.55 s), which also holds about
+# 0.65 kB per entry.  So an admitted call ends within about 2 s; the
+# test suite and the benchmark, heavy cases included, need at most 4.9e3.
+MAX_COMBINED = 1_000_000
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _hermite(a: int, m: int, rate: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    poly = {a: Fraction(1)}
-    for _ in range(m):
+def _one(e: int) -> tuple[int]:
+    """The exponent 1-tuple (e,), shared by every table entry that holds it."""
+    return (e,)
+
+
+def _hermite(a: int, top: int, rk: RateKey) -> list[list[tuple[int, int]]]:
+    """rd^m P(a, m, rn/rd) for m = 0..top as integer (exponent, coefficient)
+    pairs, each order one step from the last."""
+    rn, rd = rk
+    poly, out = {a: 1}, [[(a, 1)]]
+    for _ in range(top):
         # d(c q^e e^{-r q^2}) = (e c q^(e-1) - 2 r c q^(e+1)) e^{-r q^2}
-        nxt: dict[int, Fraction] = {}
+        nxt: dict[int, int] = {}
         for e, c in poly.items():
             if e:
-                nxt[e - 1] = nxt.get(e - 1, 0) + e * c
-            nxt[e + 1] = nxt.get(e + 1, 0) - 2 * rate * c
+                nxt[e - 1] = nxt.get(e - 1, 0) + rd * e * c
+            nxt[e + 1] = nxt.get(e + 1, 0) - 2 * rn * c
         poly = {e: c for e, c in nxt.items() if c}
-    return tuple(sorted(poly.items()))
+        out.append(list(poly.items()))
+    return out
 
 
-def _deriv(a: int, m: int, rate: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """P(a, m, rate) as (exponent, coefficient) pairs."""
-    if rate:
-        return _hermite(a, m, rate)
-    return ((a - m, perm(a, m)),) if m <= a else ()
+def _factor(a: int, top: int, k: int, rk: RateKey, sign: int) -> list[list[tuple[int, int]]]:
+    """sign^m C(k, m) P(a, m, r) / 2^m for m = 0..top as (exponent,
+    numerator) pairs over the one denominator (2 rd)^top."""
+    out, w = [], 1
+    if not rk[0]:
+        # P(a, m, 0) = (a)_m q^(a-m), and C(k, m) (a)_m = C(a, m) (k)_m
+        # grows by one integer step
+        for m in range(top + 1):
+            out.append([(a - m, (sign ** m * w) << (top - m))])
+            w = w * (a - m) * (k - m) // (m + 1)
+        return out
+    scale = 2 * rk[1]
+    for m, poly in enumerate(_hermite(a, top, rk)):
+        u = sign ** m * w * scale ** (top - m)
+        out.append([(x, u * c) for x, c in poly])
+        w = w * (k - m) // (m + 1)
+    return out
 
 
 def _top(a: int, m: int, rate) -> int:
@@ -104,10 +148,11 @@ def _table_work(top_f: int, env_f: bool, top_g: int = 0, env_g: bool = False) ->
     and whether it carries an envelope.
 
     Without an envelope the derivatives P(a, 0..top) are one term each;
-    with one, P(a, j) has up to j + 1 terms and _hermite builds each from
-    scratch in j steps.  The table multiplies the terms of its factors,
-    and its integers grow with the total order n, which costs about
-    (1 + n/128)^1.5 per term (measured).
+    with one, P(a, j) has up to j + 1 terms, priced as if each took j
+    steps to build (_hermite builds them all in one pass, but the price
+    is kept so that every input keeps its verdict).  The table multiplies
+    the terms of its factors, and its integers grow with the total order
+    n, which costs about (1 + n/128)^1.5 per term (measured).
     """
     terms, build = 1, 0
     for top, env in ((top_f, env_f), (top_g, env_g)):
@@ -147,69 +192,100 @@ def _check_work(what: str, work: float) -> None:
                              f"at most {MAX_TABLE_WORK} are done")
 
 
+def _table(den: int, acc: dict[tuple[int, int], int], y0: int) -> Table:
+    """The table of the nonzero numerators acc[n, x] over den, in lowest terms."""
+    keys = sorted(key for key, u in acc.items() if u)
+    # factors of two go first by shifts, which are linear in the size of
+    # the integers where gcd and division are not
+    t = min((u & -u).bit_length() for u in (den, *(acc[key] for key in keys))) - 1
+    den, nums = den >> t, [acc[key] >> t for key in keys]
+    g = gcd(den, *nums)
+    return den // g, tuple((n, _one(x), _one(y0 - n), u // g)
+                           for (n, x), u in zip(keys, nums))
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _star_table(a: int, b: int, rk: RateKey, c: int, d: int, sk: RateKey) -> Table:
-    r, s = Fraction(*rk), Fraction(*sk)
-    acc: dict[tuple[int, int], Fraction] = {}
     # j q-derivatives of the left factor pair with d_p^j of the right, m of
     # the right with d_p^m of the left; only orders with P nonzero are visited
-    rights = [_deriv(c, m, s) for m in range(_top(c, b, s) + 1)]
-    for j in range(_top(a, d, r) + 1):
-        left = _deriv(a, j, r)
-        for m, right in enumerate(rights):
+    left = _factor(a, _top(a, d, rk[0]), d, rk, 1)
+    right = _factor(c, _top(c, b, sk[0]), b, sk, -1)
+    acc: dict[tuple[int, int], int] = {}
+    for j, lj in enumerate(left):
+        for m, rm in enumerate(right):
             n = j + m
-            w = Fraction((-1) ** m * comb(n, j) * perm(b, m) * perm(d, j),
-                         2 ** n * factorial(n))
-            for x, u in left:
-                for y, v in right:
-                    acc[n, x + y] = acc.get((n, x + y), 0) + w * u * v
-    return tuple((n, x, b + d - n, *w.as_integer_ratio())
-                 for (n, x), w in sorted(acc.items()) if w)
+            for x, u in lj:
+                for y, v in rm:
+                    acc[n, x + y] = acc.get((n, x + y), 0) + u * v
+    den = (2 * rk[1]) ** (len(left) - 1) * (2 * sk[1]) ** (len(right) - 1)
+    return _table(den, acc, b + d)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _s_table(a: int, b: int, rk: RateKey, sign: int) -> Table:
-    rate, out = Fraction(*rk), []
-    for m in range(_top(a, b, rate) + 1):
-        w = Fraction(sign ** m * perm(b, m), 2 ** m * factorial(m))
-        out += [(m, x, b - m, *(w * u).as_integer_ratio())
-                for x, u in _deriv(a, m, rate)]
-    return tuple(out)
+    terms = _factor(a, _top(a, b, rk[0]), b, rk, sign)
+    return _table((2 * rk[1]) ** (len(terms) - 1),
+                  {(m, x): u for m, tm in enumerate(terms) for x, u in tm}, b)
 
 
-def _combine(tables: list[Table]
-             ) -> list[tuple[int, tuple[int, ...], tuple[int, ...], int, int]]:
-    """Product over dimensions of 1-d tables: (n, q-exponents, p-exponents, num, den)."""
-    out = [(n, (x,), (y,), u, v) for n, x, y, u, v in tables[0]]
-    for table in tables[1:]:
-        out = [(n + m, xs + (x,), ys + (y,), u * w, v * z)
-               for n, xs, ys, u, v in out for m, x, y, w, z in table]
+def _combine(tables: list[Table]) -> list[Entry]:
+    """Product over dimensions of 1-d tables, over the product of their D."""
+    out = tables[0][1]
+    for _, entries in tables[1:]:
+        out = [(n + m, xs + x, ys + y, u * w)
+               for n, xs, ys, u in out for m, x, y, w in entries]
     return out
 
 
-def _accumulate(acc: dict, key, re: int, im: int, den: int, power: int) -> None:
-    """acc[key] += i^power * (re + i*im)/den in an integer slot [re, im, den]."""
-    re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[power % 4]
-    slot = acc.get(key)
-    if slot is None:
-        acc[key] = [re, im, den]
-    elif slot[2] == den:
-        slot[0] += re
-        slot[1] += im
-    else:
-        old = slot[2]
-        g = gcd(old, den)
-        u, v = den // g, old // g
-        slot[0] = slot[0] * u + re * v
-        slot[1] = slot[1] * u + im * v
-        slot[2] = old * u
+def _sum(dim: int, what: str, jobs: list, order: int | None = None,
+         odd_only: bool = False) -> PhasePolynomial:
+    """Sum the kernel over term pairs over one common denominator.
 
-
-def _body(dim: int, acc: dict) -> PhasePolynomial:
-    """The polynomial of the integer slots, zero sums dropped."""
+    A job (k, re, im, den, tables) is a term pair: lambda^k (re + i*im)/den
+    times the product of its 1-d tables.  The first pass prices the
+    combined entries and takes the lcm L of the pairs' denominators; the
+    second adds integer numerators over L, and each output coefficient is
+    reduced once.  ``order`` and ``odd_only`` as in _moyal.
+    """
+    dens, common, size = [], 1, 0
+    for _, _, _, den, tables in jobs:
+        count = 1
+        for d, entries in tables:
+            den *= d
+            count *= len(entries)
+        dens.append(den)
+        common = lcm(common, den)
+        size += count
+    if size > MAX_COMBINED:
+        raise BudgetExceeded(f"{what} combines about {size:.3g} table entries; "
+                             f"at most {MAX_COMBINED} are summed")
+    acc: dict = {}
+    for (k, re, im, _, tables), den in zip(jobs, dens):
+        t = common // den
+        re, im = re * t, im * t
+        if order is not None:
+            # M_order: no i^n and no lambda shift, times 2^n n!
+            t = 2 ** order * factorial(order)
+            rots = ((re * t, im * t),) * 4
+            k -= order
+        else:
+            if odd_only:
+                re, im = 2 * re, 2 * im
+            rots = ((re, im), (-im, re), (-re, -im), (im, -re))  # i^n (re + i*im)
+        for n, xs, ys, u in tables[0][1] if dim == 1 else _combine(tables):
+            if order is not None and n != order or odd_only and not n & 1:
+                continue
+            r, i = rots[n & 3]
+            key = (k + n, xs, ys)
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = [r * u, i * u]
+            else:
+                slot[0] += r * u
+                slot[1] += i * u
     raw = Scalar._raw
     return PhasePolynomial._from_clean(
-        dim, {key: raw(re, im, den) for key, (re, im, den) in acc.items() if re or im})
+        dim, {key: raw(re, im, common) for key, (re, im) in acc.items() if re or im})
 
 
 def _moyal(f: Observable, g: Observable, order: int | None = None,
@@ -238,26 +314,13 @@ def _moyal(f: Observable, g: Observable, order: int | None = None,
             for fk, gk in zip(_exponent_pairs(fo), _exponent_pairs(go))
             for a, b in fk for c, d in gk))
     rk, sk = (r.numerator, r.denominator), (s.numerator, s.denominator)
-    acc: dict = {}
-    for (kf, af, bf), cf in fo.body.terms.items():
-        for (kg, ag, bg), cg in go.body.terms.items():
-            # cf * cg as an integer triple, reduced only once per output term
-            re = cf.re_num * cg.re_num - cf.im_num * cg.im_num
-            im = cf.re_num * cg.im_num + cf.im_num * cg.re_num
-            den = cf.den * cg.den
-            terms = _combine([_star_table(af[k], bf[k], rk, ag[k], bg[k], sk)
-                              for k in range(dim)])
-            for n, xs, ys, u, v in terms:
-                if order is not None:
-                    if n == order:
-                        u *= 2 ** n * factorial(n)
-                        _accumulate(acc, (kf + kg, xs, ys), re * u, im * u, den * v, 0)
-                elif not odd_only:
-                    _accumulate(acc, (kf + kg + n, xs, ys), re * u, im * u, den * v, n)
-                elif n % 2:
-                    _accumulate(acc, (kf + kg + n, xs, ys),
-                                2 * re * u, 2 * im * u, den * v, n)
-    return GaussianObservable(_body(dim, acc), r + s)
+    # cf * cg as an integer triple, reduced only in the output
+    jobs = [(kf + kg, cf.re_num * cg.re_num - cf.im_num * cg.im_num,
+             cf.re_num * cg.im_num + cf.im_num * cg.re_num, cf.den * cg.den,
+             [_star_table(af[k], bf[k], rk, ag[k], bg[k], sk) for k in range(dim)])
+            for (kf, af, bf), cf in fo.body.terms.items()
+            for (kg, ag, bg), cg in go.body.terms.items()]
+    return GaussianObservable(_sum(dim, "the product", jobs, order, odd_only), r + s)
 
 
 def bidiff_M(f: Observable, g: Observable, b: int) -> GaussianObservable:
@@ -295,9 +358,7 @@ def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
         _table_work(_top(a, b, env), env) for pairs in _exponent_pairs(obs) for a, b in pairs))
     sign = -1 if direction == "forward" else 1
     rk = obs.rate.numerator, obs.rate.denominator
-    acc: dict = {}
-    for (k, alpha, beta), c in obs.body.terms.items():
-        for n, xs, ys, u, v in _combine([_s_table(alpha[j], beta[j], rk, sign)
-                                         for j in range(obs.dim)]):
-            _accumulate(acc, (k + n, xs, ys), c.re_num * u, c.im_num * u, c.den * v, n)
-    return GaussianObservable(_body(obs.dim, acc), obs.rate)
+    jobs = [(k, c.re_num, c.im_num, c.den,
+             [_s_table(alpha[j], beta[j], rk, sign) for j in range(obs.dim)])
+            for (k, alpha, beta), c in obs.body.terms.items()]
+    return GaussianObservable(_sum(obs.dim, "the symmetrization map", jobs), obs.rate)

@@ -13,6 +13,10 @@ derivation, so agreement is evidence rather than tautology:
   factorized kernel replaced: D^b expanded multinomially over the 2n
   slot operators with memoized mixed partial derivatives, and S as the
   iterated Laplacian-type series.  They share no code with the kernel.
+* ``reference_star_table`` and ``reference_s_table`` build the kernel's
+  1-d tables entry by entry from ``Fraction`` weights and falling
+  factorials, with P(a, m, r) differentiated in ``Fraction`` arithmetic:
+  the route the integer tables replaced.
 * ``reference_pi0``, ``reference_op_compose`` and
   ``reference_op_apply_base`` are the operator routes that the symbol
   calculus replaced: pi0 grouped term by term into {(k, gamma): c(q)},
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from starquant import (ActionData, GaussianObservable, PhasePolynomial, SchrodingerOperator,
                        star_commutator)
@@ -187,6 +191,55 @@ def reference_s_map(f, direction: str = "forward") -> GaussianObservable:
         phase = phase * sign_i
         coeff = phase * Fraction(1, 2 ** m * factorial(m))
         out = out + term.scale(coeff).mul_lambda(m)
+
+
+def _reference_deriv(a: int, m: int, rate: Fraction) -> list[tuple[int, Fraction]]:
+    """P(a, m, rate), with d^m(q^a e^{-rate q^2}) = P(a, m, rate) e^{-rate q^2},
+    as sorted (exponent, coefficient) pairs."""
+    if not rate:
+        return [(a - m, Fraction(perm(a, m)))] if m <= a else []
+    poly = {a: Fraction(1)}
+    for _ in range(m):
+        nxt: dict[int, Fraction] = {}
+        for e, c in poly.items():
+            if e:
+                nxt[e - 1] = nxt.get(e - 1, 0) + e * c
+            nxt[e + 1] = nxt.get(e + 1, 0) - 2 * rate * c
+        poly = {e: c for e, c in nxt.items() if c}
+    return sorted(poly.items())
+
+
+def _reference_top(a: int, m: int, rate: Fraction) -> int:
+    return m if rate else min(a, m)
+
+
+def reference_star_table(a: int, b: int, r: Fraction, c: int, d: int,
+                         s: Fraction) -> list[tuple[int, int, int, Fraction]]:
+    """The 1-d product kernel of q^a p^b e^{-r q^2} and q^c p^d e^{-s q^2}
+    as sorted (n, x, y, w): w (i lambda)^n q^x p^y e^{-(r+s) q^2}, w != 0."""
+    acc: dict[tuple[int, int], Fraction] = {}
+    rights = [_reference_deriv(c, m, s) for m in range(_reference_top(c, b, s) + 1)]
+    for j in range(_reference_top(a, d, r) + 1):
+        left = _reference_deriv(a, j, r)
+        for m, right in enumerate(rights):
+            n = j + m
+            w = Fraction((-1) ** m * comb(n, j) * perm(b, m) * perm(d, j),
+                         2 ** n * factorial(n))
+            for x, u in left:
+                for y, v in right:
+                    acc[n, x + y] = acc.get((n, x + y), 0) + w * u * v
+    return [(n, x, b + d - n, w) for (n, x), w in sorted(acc.items()) if w]
+
+
+def reference_s_table(a: int, b: int, rate: Fraction,
+                      sign: int) -> list[tuple[int, int, int, Fraction]]:
+    """The 1-d kernel of S (sign -1) or its inverse (sign +1) on
+    q^a p^b e^{-rate q^2}, in the form of ``reference_star_table``."""
+    out = []
+    for m in range(_reference_top(a, b, rate) + 1):
+        w = Fraction(sign ** m * perm(b, m), 2 ** m * factorial(m))
+        out += [(m, x, b - m, w * u) for x, u in _reference_deriv(a, m, rate)]
+    return out
 
 
 def reference_pi0(f) -> SchrodingerOperator:

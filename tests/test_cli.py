@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import numpy as np
@@ -55,6 +56,28 @@ def test_parse_errors_exit_2_with_positions(capsys):
     body = json.loads(err)
     assert body["error"] == "NegativeExponent"
     assert (body["line"], body["column"]) == (1, 3)
+
+
+LONG_NUMERAL = "9" * (sys.get_int_max_str_digits() + 700)
+
+
+@pytest.mark.parametrize("expr, column", [
+    (LONG_NUMERAL + "*q", 1), ("q^" + LONG_NUMERAL, 3), ("2*q*p^\u00b2", 7)])
+def test_unreadable_numerals_exit_2_with_positions(capsys, expr, column):
+    # a numeral past the int-from-string limit, in the base or the exponent
+    # position, or of digits int() does not read, is a syntax error
+    code, out, err = run(capsys, "star", expr, "p", "--json")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    body = json.loads(lines[0])
+    assert body["error"] == "ObservableSyntaxError"
+    assert (body["line"], body["column"]) == (1, column)
+    if "9" in expr:
+        assert f"numeral of {len(LONG_NUMERAL)} digits" in body["message"]
+    # the longest readable numeral still parses
+    code, _, _ = run(capsys, "star", "9" * sys.get_int_max_str_digits() + "*q", "p", "--json")
+    assert code == 0
 
 
 def test_deep_nesting_exits_2_with_position(capsys):
@@ -127,7 +150,10 @@ def test_power_budget_exits_3(capsys):
     ["star", "q^2000*p^2000", "q^2000*p^2000"],
     ["star", "q^1000", "p^1000", "--envelope", "1"],
     ["smap", "q^300*p^300", "--envelope", "1"],
-    ["smap", "q^100000000*p^100000000"]])
+    ["smap", "q^100000000*p^100000000"],
+    # 6 table entries a dimension, 6^8 combined: the tables are cheap
+    ["star", "*".join(f"q{k}^2*p{k}^3" for k in range(1, 9)),
+     "*".join(f"q{k}^3*p{k}^2" for k in range(1, 9)), "--dim", "8"]])
 def test_table_work_budget_exits_3_fast(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--json")

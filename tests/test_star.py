@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import importlib
 import random
+import time
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, gcd, perm
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,8 @@ from starquant import (BudgetExceeded, EnvelopeMismatch, GaussianObservable,
 
 from conftest import observables, polynomials
 from oracles import (bopp_star, reference_bidiff_M, reference_order_bound,
-                     reference_s_map, reference_star, reference_star_commutator)
+                     reference_s_map, reference_s_table, reference_star,
+                     reference_star_commutator, reference_star_table)
 
 # the module, not the function that the package exports under the same name
 kernel = importlib.import_module("starquant.star")
@@ -198,6 +200,76 @@ def test_kernel_s_map_matches_reference(f):
         assert s_map(f, direction) == reference_s_map(f, direction)
 
 
+# -- the integer tables and the common denominator ----------------------
+
+TABLE_RATES = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(3)])
+EXPONENTS = st.integers(0, 12)
+
+
+def rate_key(rate: Fraction) -> tuple[int, int]:
+    return rate.numerator, rate.denominator
+
+
+def as_fractions(table) -> list[tuple[int, int, int, Fraction]]:
+    den, entries = table
+    assert den > 0 and gcd(den, *(u for *_, u in entries)) == 1
+    return [(n, x, y, Fraction(u, den)) for n, (x,), (y,), u in entries]
+
+
+@given(EXPONENTS, EXPONENTS, TABLE_RATES, EXPONENTS, EXPONENTS, TABLE_RATES)
+@settings(max_examples=150)
+def test_integer_star_table_matches_fraction_reference(a, b, r, c, d, s):
+    table = kernel._star_table.__wrapped__(a, b, rate_key(r), c, d, rate_key(s))
+    assert as_fractions(table) == reference_star_table(a, b, r, c, d, s)
+
+
+@given(EXPONENTS, EXPONENTS, TABLE_RATES, st.sampled_from([-1, 1]))
+@settings(max_examples=100)
+def test_integer_s_table_matches_fraction_reference(a, b, rate, sign):
+    table = kernel._s_table.__wrapped__(a, b, rate_key(rate), sign)
+    assert as_fractions(table) == reference_s_table(a, b, rate, sign)
+
+
+# pairwise coprime denominators put every term pair over its own
+# denominator, so the output's common denominator is a true lcm
+BIG_DENOMINATORS = st.sampled_from([1, 2, 3, 7919, 65537, 104729, 999959, 999961,
+                                    999979, 999983, 2 ** 61 - 1])
+big_fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), BIG_DENOMINATORS)
+big_scalars = st.builds(Scalar, big_fractions, big_fractions)
+BIG_RATES = st.sampled_from([0, Fraction(1, 2), Fraction(2, 3), 1, 3])
+
+
+@st.composite
+def big_coefficient_pairs(draw):
+    dim = draw(st.integers(1, 2))
+    f, g = (draw(observables(dim, draw(BIG_RATES), max_terms=3, max_degree=3 - dim,
+                             min_lambda=-1, max_lambda=1, coeffs=big_scalars))
+            for _ in range(2))
+    return f, g
+
+
+@given(big_coefficient_pairs())
+@settings(max_examples=40)
+def test_kernel_with_large_coprime_denominators_matches_reference(pair):
+    f, g = pair
+    assert star(f, g) == reference_star(f, g)
+    assert star_commutator(f, g) == reference_star_commutator(f, g)
+    for b in range(reference_order_bound(f, g) + 1):
+        assert bidiff_M(f, g, b) == reference_bidiff_M(f, g, b)
+    for direction in ("forward", "backward"):
+        assert s_map(f, direction) == reference_s_map(f, direction)
+
+
+def test_cold_large_tables_are_fast():
+    # a cold table of exponent 200 or 2000 is one integer convolution
+    for f, g in ((Q ** 200 * P ** 200, Q ** 200 * P ** 200), (Q ** 2000, P ** 2000)):
+        for cache in (kernel._star_table, kernel._s_table, kernel._one):
+            cache.cache_clear()
+        start = time.perf_counter()
+        star(obs(f), obs(g))
+        assert time.perf_counter() - start < 0.3
+
+
 def test_large_monomial_product_closed_form():
     a = d = 60
     expect = {(n, (a - n,), (d - n,)): i_power(n) * Fraction(perm(a, n) * perm(d, n),
@@ -224,6 +296,25 @@ def test_table_work_budget_refuses_before_any_table(monkeypatch):
     spread = obs(sum((Q ** e * P ** e for e in range(100, 140)), PhasePolynomial.zero(1)))
     with pytest.raises(BudgetExceeded):
         star(spread, spread)
+
+
+def test_combined_entry_budget_refuses_before_any_entry(monkeypatch):
+    def no_entries(*args):
+        raise AssertionError("entries combined for an input over the budget")
+
+    monkeypatch.setattr(kernel, "_combine", no_entries)
+
+    def monomial(dim, a, b):
+        return obs(PhasePolynomial.monomial(dim, 0, (a,) * dim, (b,) * dim))
+
+    # cheap tables of 6 entries a dimension, 6^8 entries combined
+    f, g = monomial(8, 2, 3), monomial(8, 3, 2)
+    for call in (lambda: star(f, g), lambda: star_commutator(f, g),
+                 lambda: bidiff_M(f, g, 5),
+                 # 11 entries a dimension, 11^6 combined
+                 lambda: s_map(monomial(6, 10, 10))):
+        with pytest.raises(BudgetExceeded, match="table entries"):
+            call()
 
 
 def test_table_work_budget_counts_each_term_pair_at_its_own_exponents():
