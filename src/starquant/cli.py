@@ -23,9 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import render
-from .errors import (BudgetExceeded, DimensionMismatch, EnvelopeMismatch,
-                     GridTooCoarse, HamiltonJacobiViolated, NonIntegrable,
-                     NotInIdeal, PhaseMismatch, TurningPointError)
+from .errors import BudgetExceeded, GridTooCoarse, StarquantError
 from .evolution import ActionData, evolve, gelfand_member1, omega1, pi1
 from .gns import (gelfand_member0, inner0, momenta_decompose, omega0, pi0,
                   project_H0, weyl_check)
@@ -47,11 +45,6 @@ MAX_SAMPLES = 2 ** 20
 # 3.11); the output would otherwise grow as order^2 through the
 # order-dependent pad.
 MAX_GRID_VALUES = 2 ** 21
-
-_PRECONDITION_ERRORS = (HamiltonJacobiViolated, TurningPointError, NonIntegrable,
-                        NotInIdeal, EnvelopeMismatch, GridTooCoarse, PhaseMismatch,
-                        DimensionMismatch, BudgetExceeded, ValueError)
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse with JSON usage errors, matching the error contract."""
@@ -422,7 +415,7 @@ def main(argv=None) -> int:
         return _emit_error(exc, 2)
     except OSError as exc:  # unreadable --sprime-file
         return _emit_error(exc, 2)
-    except _PRECONDITION_ERRORS as exc:
+    except (StarquantError, ValueError) as exc:
         return _emit_error(exc, 3)
     if args.json:
         sys.stdout.write(render.dumps(payload))

@@ -26,7 +26,10 @@ closed form,
 which ``solve_transport_1d`` evaluates on a uniform grid with ghost
 padding: fourth-order centered stencils for derivatives and composite
 Simpson for the running integral.  Derivatives shrink the usable pad,
-so grid functions carry their own pad width.  Grids are built with one
+so grid functions carry their own pad width.  Pads exist only where a
+stencil feeds the next order: the solver keeps them on each amplitude
+for the next order's second derivative, while the residual checks
+read the n interior samples alone.  Grids are built with one
 vectorized numpy pass: ``GridFunction1D.from_callable`` calls its
 function once on the whole array of points, and a polynomial S' is
 evaluated in floating point by ``_eval_base_poly``, to within a few
@@ -264,6 +267,13 @@ def _not_a_knot_spline(x: np.ndarray, y: np.ndarray, pts: np.ndarray) -> np.ndar
     return ((cubic[i] * u + square[i]) * u + s[i]) * u + y[i]
 
 
+def _grid_points(a: float, b: float, n: int, pad: int) -> np.ndarray:
+    """The n points of [a, b], both ends included, and pad more beyond each end."""
+    if n < 2:
+        raise GridTooCoarse("need at least two samples")
+    return a + (b - a) / (n - 1) * np.arange(-pad, n + pad)
+
+
 @dataclass
 class GridFunction1D:
     """Complex samples on a uniform grid over [a, b] with ghost padding.
@@ -294,7 +304,7 @@ class GridFunction1D:
         return (self.b - self.a) / (self.n - 1)
 
     def points(self) -> np.ndarray:
-        return self.a + self.h * np.arange(-self.pad, self.n + self.pad)
+        return _grid_points(self.a, self.b, self.n, self.pad)
 
     def interior(self) -> np.ndarray:
         return self.values[self.pad:self.pad + self.n]
@@ -302,9 +312,7 @@ class GridFunction1D:
     @staticmethod
     def from_callable(fn, a: float, b: float, n: int, pad: int) -> "GridFunction1D":
         """Sample a vectorized ``fn`` on the grid: one call on the point array."""
-        h = (b - a) / (n - 1)
-        pts = a + h * np.arange(-pad, n + pad)
-        return GridFunction1D(a, b, n, pad, fn(pts))
+        return GridFunction1D(a, b, n, pad, fn(_grid_points(a, b, n, pad)))
 
     @staticmethod
     def from_samples(qs: Sequence[float], vs: Sequence[float], a: float, b: float,
@@ -320,8 +328,7 @@ class GridFunction1D:
         qs, vs = qs[order], vs[order]
         if np.any(np.diff(qs) <= 0):
             raise ValueError("sample abscissae must be distinct")
-        h = (b - a) / (n - 1)
-        pts = a + h * np.arange(-pad, n + pad)
+        pts = _grid_points(a, b, n, pad)
         return GridFunction1D(a, b, n, pad, _not_a_knot_spline(qs, vs, pts))
 
     def same_grid(self, other: "GridFunction1D") -> bool:
@@ -339,13 +346,6 @@ class GridFunction1D:
             out += w * self.values[radius + s: total - radius + s]
         out /= self.h ** order
         return GridFunction1D(self.a, self.b, self.n, self.pad - radius, out)
-
-    def shrink_to(self, pad: int) -> "GridFunction1D":
-        if pad > self.pad:
-            raise ValueError("cannot grow the pad")
-        cut = self.pad - pad
-        vals = self.values[cut: len(self.values) - cut] if cut else self.values
-        return GridFunction1D(self.a, self.b, self.n, pad, vals)
 
 
 @dataclass
@@ -387,21 +387,19 @@ def solve_transport_1d(sprime: GridFunction1D, phi_prev: GridFunction1D | None,
             f"of [{sprime.a:.6g}, {sprime.b:.6g}] for the stencils; use more samples "
             "or a lower order, which narrows the padding")
     inv_sqrt = 1.0 / np.sqrt(sp)
+    c0 = boundary * np.sqrt(sp[sprime.pad])
 
     if phi_prev is None:
-        c0 = boundary * np.sqrt(sp[sprime.pad])
         return GridFunction1D(sprime.a, sprime.b, sprime.n, sprime.pad, c0 * inv_sqrt)
 
     if not sprime.same_grid(phi_prev):
         raise ValueError("S' and the previous amplitude live on different grids")
     d2 = phi_prev.derivative(2)
     pad = min(sprime.pad, d2.pad)
-    d2 = d2.shrink_to(pad)
-    sp_v = sprime.shrink_to(pad)
-    inv = 1.0 / np.sqrt(sp_v.values.real)
-    running = _cumulative_simpson(0.5j * inv * d2.values, sp_v.h)
+    inv = inv_sqrt[sprime.pad - pad: sprime.pad + sprime.n + pad]
+    d2_vals = d2.values[d2.pad - pad: d2.pad + d2.n + pad]
+    running = _cumulative_simpson(0.5j * inv * d2_vals, sprime.h)
     running = running - running[pad]  # anchor the integral at q = a
-    c0 = boundary * np.sqrt(sp_v.values.real[pad])
     return GridFunction1D(sprime.a, sprime.b, sprime.n, pad, inv * (c0 + running))
 
 
@@ -415,27 +413,20 @@ def _eval_base_poly(poly: PhasePolynomial, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_operator_grid(op: SchrodingerOperator, phi: GridFunction1D) -> GridFunction1D:
-    """Apply a lambda-free 1-D operator to grid samples."""
+def _apply_operator_grid(op: SchrodingerOperator, phi: GridFunction1D) -> np.ndarray:
+    """The n interior samples of a lambda-free 1-D operator applied to phi."""
     if op.dim != 1:
         raise DimensionMismatch("grid application is one-dimensional")
     if op.rate != 0:
         raise ValueError("grid application needs an envelope-free operator")
-    if op.is_zero():
-        return GridFunction1D(phi.a, phi.b, phi.n, phi.pad,
-                              np.zeros(phi.n + 2 * phi.pad, dtype=complex))
-    pieces: list[GridFunction1D] = []
+    x = _grid_points(phi.a, phi.b, phi.n, 0)
+    acc = np.zeros(phi.n, dtype=complex)
     for (k, gamma), coeff in op.sorted_terms():
         if k != 0:
             raise ValueError("grid application needs a lambda-free operator")
         dphi = phi.derivative(gamma[0]) if gamma[0] else phi
-        vals = _eval_base_poly(coeff, dphi.points()) * dphi.values
-        pieces.append(GridFunction1D(phi.a, phi.b, phi.n, dphi.pad, vals))
-    pad = min(p.pad for p in pieces)
-    acc = np.zeros(phi.n + 2 * pad, dtype=complex)
-    for p in pieces:
-        acc += p.shrink_to(pad).values
-    return GridFunction1D(phi.a, phi.b, phi.n, pad, acc)
+        acc += _eval_base_poly(coeff, x) * dphi.interior()
+    return acc
 
 
 @dataclass
@@ -461,28 +452,14 @@ def verify_eigen_residual(hier: TransportHierarchy, sol: WKBSolution,
     if hier.action.dim != 1:
         raise DimensionMismatch("grid verification is one-dimensional")
     top = len(sol.orders) - 1
-    j_min = hier.min_nonzero_order()
-    if j_min is None:
-        return ResidualReport([0.0] * (top + 1), tol)
-    r_max = top + j_min
+    r_max = top + (hier.min_nonzero_order() or 0)
     norms: list[float] = []
     for r in range(r_max + 1):
-        acc: GridFunction1D | None = None
+        acc = np.zeros(sol.sprime.n, dtype=complex)
         for j, op in enumerate(hier.orders):
-            if op.is_zero() or not 0 <= r - j <= top:
-                continue
-            piece = _apply_operator_grid(op, sol.orders[r - j])
-            if acc is None:
-                acc = piece
-            else:
-                pad = min(acc.pad, piece.pad)
-                acc = GridFunction1D(
-                    acc.a, acc.b, acc.n, pad,
-                    acc.shrink_to(pad).values + piece.shrink_to(pad).values)
-        if acc is None:
-            norms.append(0.0)
-        else:
-            norms.append(float(np.max(np.abs(acc.interior()))))
+            if 0 <= r - j <= top:
+                acc += _apply_operator_grid(op, sol.orders[r - j])
+        norms.append(float(np.max(np.abs(acc))))
     return ResidualReport(norms, tol)
 
 
@@ -495,19 +472,12 @@ def transport_residuals_1d(sprime: GridFunction1D, orders: Sequence[GridFunction
 
         S'' phi_r + 2 S' phi_r' - i phi_{r-1}'' = 0.
     """
-    s2 = sprime.derivative(1)
+    s1 = sprime.interior().real
+    s2 = sprime.derivative(1).interior()
     norms: list[float] = []
     for r, phi in enumerate(orders):
-        d1 = phi.derivative(1)
-        pad = min(s2.pad, d1.pad, phi.pad, sprime.pad)
-        res = (s2.shrink_to(pad).values * phi.shrink_to(pad).values
-               + 2.0 * sprime.shrink_to(pad).values.real * d1.shrink_to(pad).values)
+        res = s2 * phi.interior() + 2.0 * s1 * phi.derivative(1).interior()
         if r > 0:
-            d2 = orders[r - 1].derivative(2)
-            pad2 = min(pad, d2.pad)
-            res = res[pad - pad2: len(res) - (pad - pad2)] if pad > pad2 else res
-            res = res - 1j * d2.shrink_to(pad2).values
-            pad = pad2
-        grid = GridFunction1D(sprime.a, sprime.b, sprime.n, pad, res)
-        norms.append(float(np.max(np.abs(grid.interior()))))
+            res = res - 1j * orders[r - 1].derivative(2).interior()
+        norms.append(float(np.max(np.abs(res))))
     return ResidualReport(norms, tol)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from starquant import GridFunction1D
+from starquant import GridFunction1D, cli, errors
 from starquant.cli import MAX_GRID_VALUES, MAX_SAMPLES, _build_parser, main
 
 STAR_QP_JSON = ('{"dim": 1, "envelope": "0/1", "terms": ['
@@ -437,6 +437,20 @@ def assert_one_error_line(code, out, err, error):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+
+
+ERROR_CLASSES = [cls for cls in vars(errors).values() if isinstance(cls, type)
+                 and issubclass(cls, errors.StarquantError) and cls is not errors.StarquantError]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_3(capsys, monkeypatch, error):
+    def failing_star(*args):
+        raise error("raised by the handler")
+
+    monkeypatch.setattr(cli, "star", failing_star)
+    code, out, err = run(capsys, "star", "q", "p", "--json")
+    assert_one_error_line(code, out, err, error.__name__)
 
 
 @pytest.mark.parametrize("samples, error", [

@@ -160,6 +160,10 @@ def test_grid_function_layout():
         GridFunction1D(0.0, 1.0, 4, 1, np.zeros(4))
     with pytest.raises(ValueError):
         GridFunction1D(0.0, 1.0, 4, -1, np.zeros(2))
+    with pytest.raises(GridTooCoarse):
+        GridFunction1D.from_callable(np.sin, 0.0, 1.0, 1, 2)
+    with pytest.raises(GridTooCoarse):
+        GridFunction1D.from_samples([0, 1, 2, 3], [0, 1, 4, 9], 0.0, 1.0, 1, 2)
 
 
 def test_stencil_derivatives_converge():
@@ -372,3 +376,44 @@ def test_transport_residuals_from_samples_only():
     report = transport_residuals_1d(sp, [phi0, phi1], 1e-3)
     assert len(report.norms) == 2
     assert report.passed
+
+
+def solve_orders(sprime_fn, n, top):
+    """S' sampled on [1, 2] with the CLI's pad, and phi_0..phi_top from phi_0(1) = 1."""
+    sp = GridFunction1D.from_callable(sprime_fn, 1.0, 2.0, n, max(4, 2 * (top + 1)))
+    orders = [solve_transport_1d(sp, None, 1.0)]
+    for _ in range(top):
+        orders.append(solve_transport_1d(sp, orders[-1], 0.0))
+    return sp, orders
+
+
+@pytest.mark.parametrize("sprime_fn, sprime, action", [
+    (lambda q: q, Q, Q * Q * Fraction(1, 2)),
+    (lambda q: q + 1.0, Q + PhasePolynomial.one(1), Q * Q * Fraction(1, 2) + Q),
+    (lambda q: 3.0 * q * q, Q * Q * 3, Q * Q * Q)])
+@pytest.mark.parametrize("top", [1, 2, 3])
+def test_residual_routes_agree(sprime_fn, sprime, action, top):
+    # H = p^2 + 1 - S'^2 at E = 1 has D_0 = 0 and D_1 phi = -i (S'' phi + 2 S' phi'),
+    # D_2 phi = -phi'': the hierarchy's order r + 1 is the recursion's order r
+    ham = P * P + PhasePolynomial.one(1) - sprime * sprime
+    hier = eigenproblem_hierarchy(ham, ActionData(action), 1, 3)
+    sp, orders = solve_orders(sprime_fn, 128, top)
+    eigen = verify_eigen_residual(hier, WKBSolution(sp, orders), 1e-6).norms
+    literal = transport_residuals_1d(sp, orders, 1e-6).norms
+    assert len(eigen) == top + 2 and len(literal) == top + 1
+    assert eigen[0] == 0.0
+    for r, norm in enumerate(literal):
+        assert eigen[r + 1] == pytest.approx(norm, rel=1e-4)
+
+
+def test_residual_norms_are_frozen():
+    # bit-for-bit pins: reading the interior alone must not change a norm
+    sp, orders = solve_orders(lambda q: q, 512, 2)
+    hier = eigenproblem_hierarchy(HAM, S_QUAD, 1, 3)
+    eigen = verify_eigen_residual(hier, WKBSolution(sp, orders), 1e-6).norms
+    literal = transport_residuals_1d(sp, orders, 1e-6).norms
+    assert [x.hex() for x in literal] == [
+        "0x1.fdc1000000000p-36", "0x1.363b300000000p-31", "0x1.ac2906b7e0000p-17"]
+    assert [x.hex() for x in eigen] == [
+        "0x0.0p+0", "0x1.fd81000000000p-36", "0x1.363b300000000p-31",
+        "0x1.ac2906b7e0000p-17"]
