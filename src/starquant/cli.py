@@ -31,6 +31,7 @@ from .observables import GaussianObservable, PhasePolynomial
 from .parsing import (ObservableParseError, parse_complex_constant,
                       parse_observable, parse_rational)
 from .phase import conjugate_by_phase
+from .scalars import IntegralValue
 from .star import s_map, star, star_commutator
 from .wkb import (MIN_SAMPLES, GridFunction1D, WKBSolution, _eval_base_poly,
                   eigenproblem_hierarchy, solve_transport_1d, transport_residuals_1d)
@@ -99,44 +100,32 @@ def _action(args) -> ActionData:
     return ActionData(_poly(args, args.action))
 
 
-def _obs_out(result: GaussianObservable) -> tuple[dict, str]:
-    return render.observable_json(result), render.pretty_observable(result)
+def _out(result) -> tuple[dict, str]:
+    """The JSON payload and the pretty text of an observable, value or operator."""
+    if isinstance(result, GaussianObservable):
+        return render.observable_json(result), render.pretty_observable(result)
+    if isinstance(result, IntegralValue):
+        return render.value_json(result), render.pretty_value(result)
+    return render.operator_json(result), render.pretty_operator(result)
 
 
-def _value_out(value) -> tuple[dict, str]:
-    return render.value_json(value), render.pretty_value(value)
-
-
-def _op_out(op) -> tuple[dict, str]:
-    return render.operator_json(op), render.pretty_operator(op)
+def _shown(call, *operands: str, action: bool = False):
+    """A handler rendering call on the named operands, then on the action S."""
+    def handler(args):
+        parsed = [_obs(args, getattr(args, name)) for name in operands]
+        return _out(call(*parsed, *([_action(args)] if action else [])))
+    return handler
 
 
 # -- subcommand handlers -----------------------------------------------
 
 
 def _cmd_star(args):
-    return _obs_out(star(_obs(args, args.f), _obs(args, args.g)))
-
-
-def _cmd_commutator(args):
-    return _obs_out(star_commutator(_obs(args, args.f), _obs(args, args.g)))
+    return _out(star(_obs(args, args.f), _obs(args, args.g)))
 
 
 def _cmd_smap(args):
-    direction = "backward" if args.inverse else "forward"
-    return _obs_out(s_map(_obs(args, args.f), direction))
-
-
-def _cmd_project(args):
-    return _obs_out(project_H0(_obs(args, args.f)))
-
-
-def _cmd_omega0(args):
-    return _value_out(omega0(_obs(args, args.f)))
-
-
-def _cmd_inner0(args):
-    return _value_out(inner0(_obs(args, args.f), _obs(args, args.g)))
+    return _out(s_map(_obs(args, args.f), "backward" if args.inverse else "forward"))
 
 
 def _cmd_ideal0(args):
@@ -145,18 +134,11 @@ def _cmd_ideal0(args):
     payload: dict = {"member": member}
     lines = [f"{_label('member:')} {'yes' if member else 'no'}"]
     if member and f.rate == 0:
-        parts = momenta_decompose(f.body)
-        payload["parts"] = [
-            {"index": k + 1, "terms": render.observable_terms_json(g)}
-            for k, g in enumerate(parts)
-        ]
-        for k, g in enumerate(parts):
+        payload["parts"] = []
+        for k, g in enumerate(momenta_decompose(f.body)):
+            payload["parts"].append({"index": k + 1, "terms": render.observable_terms_json(g)})
             lines.append(f"g_{k + 1} = {render.pretty_polynomial(g)}")
     return payload, "\n".join(lines)
-
-
-def _cmd_pi0(args):
-    return _op_out(pi0(_obs(args, args.f)))
 
 
 def _cmd_weyl_check(args):
@@ -171,11 +153,7 @@ def _cmd_weyl_check(args):
 
 def _cmd_evolve(args):
     t = parse_rational(args.t)
-    return _obs_out(evolve(_obs(args, args.f), t, _action(args)))
-
-
-def _cmd_omega1(args):
-    return _value_out(omega1(_obs(args, args.f), _action(args)))
+    return _out(evolve(_obs(args, args.f), t, _action(args)))
 
 
 def _cmd_ideal1(args):
@@ -186,9 +164,8 @@ def _cmd_ideal1(args):
     lines = [f"{_label('member:')} {'yes' if member else 'no'}"]
     if member and f.rate == 0:
         # constructive witness: pull back, split over the p_k, push forward
-        pulled = momenta_decompose(evolve(f, -1, s).body)
-        parts = []
-        for k, g in enumerate(pulled):
+        payload["parts"] = parts = []
+        for k, g in enumerate(momenta_decompose(evolve(f, -1, s).body)):
             factor = evolve(GaussianObservable(g), 1, s)
             generator = evolve(
                 GaussianObservable(PhasePolynomial.coordinate_p(k, s.dim)), 1, s)
@@ -197,12 +174,7 @@ def _cmd_ideal1(args):
                           "generator": render.observable_terms_json(generator.body)})
             lines.append(f"g_{k + 1} = {render.pretty_polynomial(factor.body)}"
                          f"   (generator {render.pretty_polynomial(generator.body)})")
-        payload["parts"] = parts
     return payload, "\n".join(lines)
-
-
-def _cmd_pi1(args):
-    return _op_out(pi1(_obs(args, args.f), _action(args)))
 
 
 def _cmd_phase_conj(args):
@@ -226,11 +198,9 @@ def _cmd_wkb_hierarchy(args):
     s = _action(args)
     energy = parse_rational(args.energy)
     hierarchy = eigenproblem_hierarchy(ham, s, energy, args.order)
-    payload = render.hierarchy_json(hierarchy)
-    lines = []
-    for j, op in enumerate(hierarchy.orders):
-        lines.append(f"{_label(f'D_{j} =')} {render.pretty_operator(op)}")
-    return payload, "\n".join(lines)
+    return render.hierarchy_json(hierarchy), "\n".join(
+        f"{_label(f'D_{j} =')} {render.pretty_operator(op)}"
+        for j, op in enumerate(hierarchy.orders))
 
 
 def _cmd_wkb_solve1d(args):
@@ -318,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("f")
     p.add_argument("g")
 
-    p = leaf("commutator", _cmd_commutator, "star commutator [F, G]")
+    p = leaf("commutator", _shown(star_commutator, "f", "g"), "star commutator [F, G]")
     p.add_argument("f")
     p.add_argument("g")
 
@@ -326,20 +296,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("f")
     p.add_argument("--inverse", action="store_true")
 
-    p = leaf("omega0", _cmd_omega0, "flat-state expectation of F")
+    p = leaf("omega0", _shown(omega0, "f"), "flat-state expectation of F")
     p.add_argument("f")
 
-    p = leaf("inner0", _cmd_inner0, "GNS inner product of F and G")
+    p = leaf("inner0", _shown(inner0, "f", "g"), "GNS inner product of F and G")
     p.add_argument("f")
     p.add_argument("g")
 
     p = leaf("ideal0", _cmd_ideal0, "null-ideal membership and decomposition")
     p.add_argument("f")
 
-    p = leaf("project", _cmd_project, "project onto base functions")
+    p = leaf("project", _shown(project_H0, "f"), "project onto base functions")
     p.add_argument("f")
 
-    p = leaf("pi0", _cmd_pi0, "operator representation of F")
+    p = leaf("pi0", _shown(pi0, "f"), "operator representation of F")
     p.add_argument("f")
 
     p = leaf("weyl-check", _cmd_weyl_check, "compare pi0 with symmetrized words")
@@ -351,9 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", required=True, metavar="S")
 
     for name, handler, text in (
-            ("omega1", _cmd_omega1, "transported-state expectation"),
+            ("omega1", _shown(omega1, "f", action=True), "transported-state expectation"),
             ("ideal1", _cmd_ideal1, "transported null-ideal membership"),
-            ("pi1", _cmd_pi1, "transported operator representation")):
+            ("pi1", _shown(pi1, "f", action=True), "transported operator representation")):
         p = leaf(name, handler, text)
         p.add_argument("f")
         p.add_argument("--action", required=True, metavar="S")

@@ -47,15 +47,17 @@ state constructions; its inverse is the conjugate map with the opposite
 sign.  Per dimension it is sum_{m <= b} (-+i*lambda/2)^m/m! (b)_m
 p^(b-m) P(a, m, r).
 
-Both refuse an input whose tables would exceed a work budget, estimated
-from the exponents alone before any table is built, and one whose tables
-would combine too many entries over dimensions, before any is combined.
+Both refuse an input whose tables would cost more than MAX_TABLE_WORK,
+counted from the exponents alone (products, entries and a bound on their
+bits) before any table is built, and one whose entries combined over
+dimensions would hold more than MAX_COMBINED bytes, before any is combined.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, log2
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, DimensionMismatch
 from .observables import GaussianObservable, Observable, PhasePolynomial
@@ -72,28 +74,28 @@ Table = tuple[int, tuple[Entry, ...]]
 RateKey = tuple[int, int]
 
 # Most table work one star, star_commutator, bidiff_M or s_map call may
-# ask for, in the units of _table_work; a larger input raises
-# BudgetExceeded before any table is built.  The unit was calibrated on
-# Fraction tables, at 1.6-6.6 us cold.  On the integer tables the largest
-# accepted input of each shape takes 0.03-0.17 us a unit cold (2 vCPUs,
-# Python 3.11; products and s_map, envelope rates 0 to 3), so it ends
-# within 0.1 s (star(q^3400, p^3400) takes 0.09 s).  The constant is kept
-# so that every input keeps its verdict.  A product needs one table per
-# dimension for each distinct (q, p) exponent pair of f met with one of
-# g, priced at those exponents alone.  star(q^200 p^200, q^200 p^200)
-# needs 3.4e5 units; the test suite needs at most 2.0e3 and the
-# benchmark, its left-out heavy cases included, 8.5e2.
-MAX_TABLE_WORK = 500_000
-# Most table entries one call may combine over dimensions: the sum over
-# its term pairs of the product of their 1-d table lengths.  A larger
-# input raises BudgetExceeded once its (budgeted) tables are fetched,
-# before any entry is combined.  An entry costs 0.6-2 us (2 vCPUs,
-# Python 3.11): the low end when entries pile onto few output terms
-# (dim-3 enveloped products), the high end when each is an output term
-# of its own (dim 7, 6^7 entries, 0.55 s), which also holds about
-# 0.65 kB per entry.  So an admitted call ends within about 2 s; the
-# test suite and the benchmark, heavy cases included, need at most 4.9e3.
-MAX_COMBINED = 1_000_000
+# ask for, in _price's unit (one bit of one table entry, 1.2-2.0 ns cold on
+# 2 vCPUs, Python 3.11), for one table per dimension and distinct (q, p)
+# exponent pair (of f and of g); more raises BudgetExceeded before any
+# table is built.  The largest admitted input of each shape ends cold in
+# 0.25-0.41 s: star(q^4608, p^4608) 0.34 s, star(q^261 p^261, q^261 p^261)
+# 0.29 s, at rate 1 star(q^252, p^252) 0.28 s, star(q^36 p^36, q^36 p^36)
+# 0.25 s and s_map(q^252 p^252) 0.28 s, s_map(q^4611 p^4611) 0.28 s and
+# at rate 1/3 s_map(q^243 p^243) 0.41 s.  The test suite needs at most
+# 8.7e7 units and the benchmark, its left-out heavy cases included, 2.2e6.
+MAX_TABLE_WORK = 250_000_000
+PRODUCT_COST, LIMB, ENTRY_COST = 400, 1000, 4000
+# Most bytes one call's combined entries may hold, each at ENTRY_BYTES
+# plus a quarter byte per bit (at most one table's bits a dimension); more
+# raises BudgetExceeded before any entry is combined.  The peak RSS over
+# the 28 MB at start stays below that (2 vCPUs, Python 3.11): 596 B an
+# entry in dim 7 (6^7 entries of 6 bits, 187 MB, 1.7 s, admitted), 670 B
+# in dim 5 (12^5 of 17 bits), 1281 B in dim 2 (301^2 of 1808 bits, 139 MB).
+# So an admitted call peaks below 256 MB.
+MAX_COMBINED = 200 << 20
+ENTRY_BYTES = 640
+# what one 1-d table costs to build, and what it forms (see _price)
+Price = NamedTuple("Price", [("cost", int), ("bits", int), ("products", int), ("entries", int)])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -143,25 +145,50 @@ def _top(a: int, m: int, rate) -> int:
     return m if rate else min(a, m)
 
 
-def _table_work(top_f: int, env_f: bool, top_g: int = 0, env_g: bool = False) -> float:
-    """Work of one 1-d table from the top derivative order of each factor
-    and whether it carries an envelope.
-
-    Without an envelope the derivatives P(a, 0..top) are one term each;
-    with one, P(a, j) has up to j + 1 terms, priced as if each took j
-    steps to build (_hermite builds them all in one pass, but the price
-    is kept so that every input keeps its verdict).  The table multiplies
-    the terms of its factors, and its integers grow with the total order
-    n, which costs about (1 + n/128)^1.5 per term (measured).
-    """
-    terms, build = 1, 0
-    for top, env in ((top_f, env_f), (top_g, env_g)):
-        if env:
-            terms *= (top + 1) * (top + 2) // 2
-            build += top * (top + 1) * (top + 2) // 6
+def _bits(a: int, top: int, k: int, rk: RateKey) -> int:
+    """Bits of the numerators _factor(a, top, k, rk, +-1) holds, at most
+    C(a, m) (k)_m 2^(top-m) at order m, or with an envelope (top = k)
+    C(k, m) (2 rd)^(k-m) prod_{i<m} (rd (a + i) + 2 rn); orders past
+    MAX_TABLE_WORK // ENTRY_COST, whose entries alone exceed the budget,
+    are not looked at."""
+    rn, rd = rk
+    last = min(top, MAX_TABLE_WORK // ENTRY_COST)
+    size = best = last * log2(2 * rd) if rn else last
+    for m in range(last):
+        if rn:
+            size += log2((k - m) * (rd * (a + m) + 2 * rn)) - log2(2 * rd * (m + 1))
         else:
-            terms *= top + 1
-    return (terms + build) * (1 + (top_f + top_g) / 128) ** 1.5
+            size += log2((a - m) * (k - m)) - log2(2 * (m + 1))
+        best = max(best, size)
+    # a margin far above the rounding of the sum, and one bit
+    return int(best * (1 + 1e-9)) + 2
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _price(*factors: tuple[int, int, RateKey]) -> Price:
+    """Price of the 1-d table of factors (a, k, rate), each _factor(a,
+    _top(a, k, rate), k, rate): _s_table's one, _star_table's two.  A factor
+    has a term an order, or with an envelope at most m + 1 at order m, each a
+    product of two integers.  The table forms a product per pair of factor
+    terms, at PRODUCT_COST + b b' / LIMB for b and b' bits, and outputs an
+    entry per order, or with envelopes at most one per product and n + 1 at
+    order n, at ENTRY_COST + bits; ``bits`` bounds every integer it forms."""
+    products, orders, bits, size, build = 1, 0, 0, 1, 0
+    for a, k, rk in factors:
+        top = _top(a, k, rk[0])
+        b = _bits(a, top, k, rk)
+        terms = (top + 1) * (top + 2) // 2 if rk[0] else top + 1
+        build += terms * b * b // 4 if rk[0] else 0
+        products *= terms
+        orders += top
+        bits += b
+        size *= b
+    bits += products.bit_length()
+    env = any(rk[0] for _, _, rk in factors)
+    entries = min(products, (orders + 1) * (orders + 2) // 2) if env else orders + 1
+    cost = (products * PRODUCT_COST + (products * size + build) // LIMB
+            + entries * (ENTRY_COST + bits))
+    return Price(cost, bits, products, entries)
 
 
 def _largest(f: GaussianObservable) -> tuple[int, int]:
@@ -186,10 +213,13 @@ def _exponent_pairs(f: GaussianObservable) -> list[set[tuple[int, int]]]:
     return [set(zip(qs, ps)) for qs, ps in zip(zip(*alphas), zip(*betas))]
 
 
-def _check_work(what: str, work: float) -> None:
+def _check_work(what: str, prices: list[Price]) -> int:
+    """The most bits of the priced tables, if their work is in budget."""
+    work = sum(price.cost for price in prices)
     if work > MAX_TABLE_WORK:
         raise BudgetExceeded(f"{what} needs about {work:.3g} units of table work; "
                              f"at most {MAX_TABLE_WORK} are done")
+    return max((price.bits for price in prices), default=0)
 
 
 def _table(den: int, acc: dict[tuple[int, int], int], y0: int) -> Table:
@@ -237,15 +267,16 @@ def _combine(tables: list[Table]) -> list[Entry]:
     return out
 
 
-def _sum(dim: int, what: str, jobs: list, order: int | None = None,
+def _sum(dim: int, what: str, jobs: list, width: int, order: int | None = None,
          odd_only: bool = False) -> PhasePolynomial:
     """Sum the kernel over term pairs over one common denominator.
 
     A job (k, re, im, den, tables) is a term pair: lambda^k (re + i*im)/den
-    times the product of its 1-d tables.  The first pass prices the
-    combined entries and takes the lcm L of the pairs' denominators; the
-    second adds integer numerators over L, and each output coefficient is
-    reduced once.  ``order`` and ``odd_only`` as in _moyal.
+    times the product of its 1-d tables, of numerators of at most ``width``
+    bits.  The first pass prices the combined entries and takes the lcm L
+    of the pairs' denominators; the second adds integer numerators over L,
+    and each output coefficient is reduced once.  ``order`` and
+    ``odd_only`` as in _moyal.
     """
     dens, common, size = [], 1, 0
     for _, _, _, den, tables in jobs:
@@ -256,9 +287,11 @@ def _sum(dim: int, what: str, jobs: list, order: int | None = None,
         dens.append(den)
         common = lcm(common, den)
         size += count
-    if size > MAX_COMBINED:
-        raise BudgetExceeded(f"{what} combines about {size:.3g} table entries; "
-                             f"at most {MAX_COMBINED} are summed")
+    held = size * (ENTRY_BYTES + dim * width // 4)
+    if held > MAX_COMBINED:
+        raise BudgetExceeded(f"{what} combines about {size:.3g} table entries of up to "
+                             f"{dim * width} bits, about {held >> 20} MiB; at most "
+                             f"{MAX_COMBINED >> 20} MiB are held")
     acc: dict = {}
     for (k, re, im, _, tables), den in zip(jobs, dens):
         t = common // den
@@ -300,27 +333,24 @@ def _moyal(f: Observable, g: Observable, order: int | None = None,
     if fo.dim != go.dim:
         raise DimensionMismatch(f"dim {fo.dim} vs {go.dim}")
     dim, r, s = fo.dim, fo.rate, go.rate
-    env_f, env_g = r != 0, s != 0
-    # pricing every term pair at the largest exponents bounds the work
-    # from above in a fraction of the time (0.8-1.5 ms against 5.9-6.8 ms
-    # per assoc benchmark cycle, whose products take 52-54 ms on 2 vCPUs),
-    # so only an input that bound does not admit is priced table by table
+    rk, sk = (r.numerator, r.denominator), (s.numerator, s.denominator)
+    # all term pairs priced at the largest exponents bound the price, which
+    # grows with each exponent; only past that bound is each table priced
     (a, b), (c, d) = _largest(fo), _largest(go)
     pairs = len(fo.body.terms) * len(go.body.terms)
-    if pairs * dim * _table_work(_top(a, d, env_f), env_f, _top(c, b, env_g), env_g) \
-            > MAX_TABLE_WORK:
-        _check_work("the product", sum(
-            _table_work(_top(a, d, env_f), env_f, _top(c, b, env_g), env_g)
+    largest = _price((a, d, rk), (c, b, sk))
+    if pairs * dim * largest.cost > MAX_TABLE_WORK:
+        _check_work("the product", [
+            _price((a, d, rk), (c, b, sk))
             for fk, gk in zip(_exponent_pairs(fo), _exponent_pairs(go))
-            for a, b in fk for c, d in gk))
-    rk, sk = (r.numerator, r.denominator), (s.numerator, s.denominator)
+            for a, b in fk for c, d in gk])
     # cf * cg as an integer triple, reduced only in the output
     jobs = [(kf + kg, cf.re_num * cg.re_num - cf.im_num * cg.im_num,
              cf.re_num * cg.im_num + cf.im_num * cg.re_num, cf.den * cg.den,
              [_star_table(af[k], bf[k], rk, ag[k], bg[k], sk) for k in range(dim)])
             for (kf, af, bf), cf in fo.body.terms.items()
             for (kg, ag, bg), cg in go.body.terms.items()]
-    return GaussianObservable(_sum(dim, "the product", jobs, order, odd_only), r + s)
+    return GaussianObservable(_sum(dim, "the product", jobs, largest.bits, order, odd_only), r + s)
 
 
 def bidiff_M(f: Observable, g: Observable, b: int) -> GaussianObservable:
@@ -353,12 +383,11 @@ def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     obs = GaussianObservable.of(f)
-    env = obs.rate != 0
-    _check_work("the symmetrization map", sum(
-        _table_work(_top(a, b, env), env) for pairs in _exponent_pairs(obs) for a, b in pairs))
-    sign = -1 if direction == "forward" else 1
     rk = obs.rate.numerator, obs.rate.denominator
+    width = _check_work("the symmetrization map", [
+        _price((a, b, rk)) for pairs in _exponent_pairs(obs) for a, b in pairs])
+    sign = -1 if direction == "forward" else 1
     jobs = [(k, c.re_num, c.im_num, c.den,
              [_s_table(alpha[j], beta[j], rk, sign) for j in range(obs.dim)])
             for (k, alpha, beta), c in obs.body.terms.items()]
-    return GaussianObservable(_sum(obs.dim, "the symmetrization map", jobs), obs.rate)
+    return GaussianObservable(_sum(obs.dim, "the symmetrization map", jobs, width), obs.rate)

@@ -25,15 +25,15 @@ closed form,
 
 which ``solve_transport_1d`` evaluates on a uniform grid with ghost
 padding: fourth-order centered stencils for derivatives and composite
-Simpson for the running integral.  Derivatives shrink the usable pad,
-so grid functions carry their own pad width.  Pads exist only where a
-stencil feeds the next order: the solver keeps them on each amplitude
-for the next order's second derivative, while the residual checks
-read the n interior samples alone.  Grids are built with one
-vectorized numpy pass: ``GridFunction1D.from_callable`` calls its
-function once on the whole array of points, and a polynomial S' is
-evaluated in floating point by ``_eval_base_poly``, to within a few
-ulps of sum_k |c_k| |q|^k.  The running integral and the spline
+Simpson for the running integral.  phi_1 converges as h^4, and deeper
+orders, whose recursion differentiates the last one twice, as h^2.
+Derivatives shrink the usable pad, so grid functions carry their own
+pad width, kept on each amplitude for the next order's second
+derivative; the residual checks read the n interior samples alone.
+Grids are built with one vectorized numpy pass: ``from_callable``
+calls its function once on the whole array of points, and a polynomial
+S' is evaluated in floating point by ``_eval_base_poly``, to within a
+few ulps of sum_k |c_k| |q|^k.  The running integral and the spline
 resampling of file data are small numpy routines here, so the numeric
 tier needs numpy alone: ``_cumulative_simpson`` repeats the operations
 of scipy's equal-step ``cumulative_simpson`` and gives the same bits,
@@ -366,8 +366,8 @@ def solve_transport_1d(sprime: GridFunction1D, phi_prev: GridFunction1D | None,
         phi_r = (S')^(-1/2) [ C + (i/2) Integral_a^q (S')^(-1/2) phi_{r-1}'' ds ]
 
     with C fixed by the value at the left endpoint a.  The second
-    derivative uses the 4th-order stencil, the running integral
-    composite Simpson, so the discretization error is O(h^4).
+    derivative uses the 4th-order stencil and the running integral
+    composite Simpson: phi_1 converges as h^4, phi_2 and deeper as h^2.
     """
     if sprime.n < MIN_SAMPLES:
         raise GridTooCoarse(f"need at least {MIN_SAMPLES} samples, got {sprime.n}")

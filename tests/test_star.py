@@ -334,3 +334,97 @@ def test_table_work_budget_admits_large_monomials():
     assert star(obs(P ** 100000000), obs(P ** 100000000)) == obs(P ** 200000000)
     assert s_map(obs(P ** 100000000)) == obs(P ** 100000000)
     assert star(obs(Q ** 2000), obs(PhasePolynomial.one(1))) == obs(Q ** 2000)
+
+
+# -- the table price ----------------------------------------------------
+
+PRICE_EXPONENTS = st.integers(0, 80)
+PRICE_RATES = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1),
+                               Fraction(2)])
+
+
+def most_bits(numbers) -> int:
+    return max(abs(u).bit_length() for u in numbers)
+
+
+@given(PRICE_EXPONENTS, PRICE_EXPONENTS, PRICE_RATES, PRICE_EXPONENTS, PRICE_EXPONENTS,
+       PRICE_RATES)
+@settings(max_examples=80, deadline=None)
+def test_price_bounds_what_the_star_table_builds(a, b, r, c, d, s):
+    rk, sk = rate_key(r), rate_key(s)
+    price = kernel._price((a, d, rk), (c, b, sk))
+    left = kernel._factor(a, kernel._top(a, d, r), d, rk, 1)
+    right = kernel._factor(c, kernel._top(c, b, s), b, sk, -1)
+    products = sum(map(len, left)) * sum(map(len, right))
+    assert price.products >= products
+    lefts = [u for terms in left for _, u in terms]
+    rights = [v for terms in right for _, v in terms]
+    held = [*lefts, *rights, max(map(abs, lefts)) * max(map(abs, rights))]
+    if products <= 20_000:
+        # the sums before reduction, and the table itself
+        acc: dict = {}
+        for j, lj in enumerate(left):
+            for m, rm in enumerate(right):
+                for x, u in lj:
+                    for y, v in rm:
+                        acc[j + m, x + y] = acc.get((j + m, x + y), 0) + u * v
+        den, entries = kernel._star_table.__wrapped__(a, b, rk, c, d, sk)
+        assert price.entries >= len(entries)
+        held += [*acc.values(), den, *(u for *_, u in entries)]
+    assert price.bits >= most_bits(held)
+
+
+@given(PRICE_EXPONENTS, PRICE_EXPONENTS, PRICE_RATES, st.sampled_from([-1, 1]))
+@settings(max_examples=80, deadline=None)
+def test_price_bounds_what_the_s_table_builds(a, b, rate, sign):
+    rk = rate_key(rate)
+    price = kernel._price((a, b, rk))
+    terms = kernel._factor(a, kernel._top(a, b, rate), b, rk, sign)
+    den, entries = kernel._s_table.__wrapped__(a, b, rk, sign)
+    assert price.products >= sum(map(len, terms))
+    assert price.entries >= len(entries)
+    assert price.bits >= most_bits([*(u for t in terms for _, u in t), den,
+                                    *(u for *_, u in entries)])
+
+
+@given(st.lists(PRICE_EXPONENTS, min_size=4, max_size=4), PRICE_RATES, PRICE_RATES,
+       st.integers(0, 3))
+@settings(max_examples=300)
+def test_price_grows_with_each_exponent(exponents, r, s, which):
+    # the product's filter prices every table at the largest exponents,
+    # which holds only if no price falls as an exponent grows
+    rk, sk = rate_key(r), rate_key(s)
+    grown = list(exponents)
+    grown[which] += 1
+    for price in (lambda a, b, c, d: kernel._price((a, d, rk), (c, b, sk)),
+                  lambda a, b, c, d: kernel._price((a, b, rk))):
+        before, after = price(*exponents), price(*grown)
+        assert after.cost >= before.cost and after.bits >= before.bits
+
+
+@given(st.lists(st.integers(0, 6000), min_size=4, max_size=4), st.sampled_from([0, 1]),
+       st.booleans())
+@settings(max_examples=8, deadline=None)
+def test_admitted_monomials_near_the_budget_line_end_within_two_seconds(shape, rate, product):
+    # scale the drawn exponents up to the largest multiple the budget
+    # admits: the price grows with each exponent, so it is found by bisection
+    rk = (rate, 1)
+
+    def scaled(k):
+        return [e * k // 6000 for e in shape]
+
+    def price(a, b, c, d):
+        return (kernel._price((a, d, rk), (c, b, rk)) if product
+                else kernel._price((a, b, rk))).cost
+
+    lo, hi = 0, 6000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if price(*scaled(mid)) <= kernel.MAX_TABLE_WORK else (lo, mid - 1)
+    a, b, c, d = scaled(lo)
+    f, g = obs(Q ** a * P ** b, rate), obs(Q ** c * P ** d, rate)
+    for cache in (kernel._star_table, kernel._s_table, kernel._one):
+        cache.cache_clear()
+    start = time.perf_counter()
+    star(f, g) if product else s_map(f)
+    assert time.perf_counter() - start < 2.0
