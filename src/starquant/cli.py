@@ -121,6 +121,7 @@ def _shown(call, *operands: str, action: bool = False):
 
 
 def _cmd_star(args):
+    # not a _shown handler: star is looked up per call, so it can be replaced
     return _out(star(_obs(args, args.f), _obs(args, args.g)))
 
 
@@ -184,10 +185,8 @@ def _cmd_phase_conj(args):
     result = conjugate_by_phase(h, s, t)
     direct = evolve(GaussianObservable(h), t, s)
     matches = direct.rate == 0 and direct.body == result
-    payload = {
-        "observable": render.observable_json(GaussianObservable(result)),
-        "matches_evolve": matches,
-    }
+    payload = {"observable": render.observable_json(GaussianObservable(result)),
+               "matches_evolve": matches}
     text = (f"{render.pretty_polynomial(result)}\n"
             f"{_label('matches evolve:')} {'yes' if matches else 'no'}")
     return payload, text
@@ -278,8 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              description="exact Weyl star-product workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def leaf(name, handler, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
+    def leaf(name, handler, help_text, group=sub):
+        p = group.add_parser(name, help=help_text)
         _common_flags(p)
         p.set_defaults(handler=handler)
         return p
@@ -331,17 +330,13 @@ def _build_parser() -> argparse.ArgumentParser:
     wkb = sub.add_parser("wkb", help="transport hierarchy and 1-d solver")
     wkb_sub = wkb.add_subparsers(dest="wkb_command", required=True)
 
-    p = wkb_sub.add_parser("hierarchy", help="lambda-split eigenproblem operators")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_wkb_hierarchy)
+    p = leaf("hierarchy", _cmd_wkb_hierarchy, "lambda-split eigenproblem operators", wkb_sub)
     p.add_argument("--ham", required=True, metavar="H")
     p.add_argument("--action", required=True, metavar="S")
     p.add_argument("--energy", required=True, metavar="E")
     p.add_argument("--order", type=int, required=True, metavar="R")
 
-    p = wkb_sub.add_parser("solve1d", help="solve the transport recursion on a grid")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_wkb_solve1d)
+    p = leaf("solve1d", _cmd_wkb_solve1d, "solve the transport recursion on a grid", wkb_sub)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--sprime-expr", metavar="EXPR")
     source.add_argument("--sprime-file", metavar="FILE")

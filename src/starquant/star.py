@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, gcd, lcm, log2
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, DimensionMismatch
 from .observables import GaussianObservable, Observable, PhasePolynomial
@@ -74,15 +74,16 @@ Table = tuple[int, tuple[Entry, ...]]
 RateKey = tuple[int, int]
 
 # Most table work one star, star_commutator, bidiff_M or s_map call may
-# ask for, in _price's unit (one bit of one table entry, 1.2-2.0 ns cold on
-# 2 vCPUs, Python 3.11), for one table per dimension and distinct (q, p)
-# exponent pair (of f and of g); more raises BudgetExceeded before any
-# table is built.  The largest admitted input of each shape ends cold in
-# 0.25-0.41 s: star(q^4608, p^4608) 0.34 s, star(q^261 p^261, q^261 p^261)
-# 0.29 s, at rate 1 star(q^252, p^252) 0.28 s, star(q^36 p^36, q^36 p^36)
-# 0.25 s and s_map(q^252 p^252) 0.28 s, s_map(q^4611 p^4611) 0.28 s and
-# at rate 1/3 s_map(q^243 p^243) 0.41 s.  The test suite needs at most
-# 8.7e7 units and the benchmark, its left-out heavy cases included, 2.2e6.
+# ask for, in _price's unit: one bit of one table entry, 1.2-2.0 ns cold
+# (2 vCPUs, Python 3.11).  A call prices one table per dimension and
+# distinct exponent pair, and past the budget raises BudgetExceeded before
+# any table is built.  The largest admitted input of each shape ends cold
+# in (best of 3, two runs): star(q^4608, p^4608) 0.32-0.34 s, star(q^261
+# p^261, q^261 p^261) 0.18-0.29 s, s_map(q^4611 p^4611) 0.28-0.30 s; at
+# rate 1 star(q^252, p^252) 0.24-0.28 s, star(q^36 p^36, q^36 p^36)
+# 0.19-0.25 s, s_map(q^252 p^252) 0.24-0.28 s; at rate 1/3 s_map(q^243
+# p^243) 0.38-0.41 s.  The tests that do not probe the line need at most
+# 8.7e7 units, and the benchmark, its left-out heavy cases included, 2.2e6.
 MAX_TABLE_WORK = 250_000_000
 PRODUCT_COST, LIMB, ENTRY_COST = 400, 1000, 4000
 # Most bytes one call's combined entries may hold, each at ENTRY_BYTES
@@ -94,7 +95,6 @@ PRODUCT_COST, LIMB, ENTRY_COST = 400, 1000, 4000
 # So an admitted call peaks below 256 MB.
 MAX_COMBINED = 200 << 20
 ENTRY_BYTES = 640
-# what one 1-d table costs to build, and what it forms (see _price)
 Price = NamedTuple("Price", [("cost", int), ("bits", int), ("products", int), ("entries", int)])
 
 
@@ -170,22 +170,24 @@ def _price(*factors: tuple[int, int, RateKey]) -> Price:
     _top(a, k, rate), k, rate): _s_table's one, _star_table's two.  A factor
     has a term an order, or with an envelope at most m + 1 at order m, each a
     product of two integers.  The table forms a product per pair of factor
-    terms, at PRODUCT_COST + b b' / LIMB for b and b' bits, and outputs an
-    entry per order, or with envelopes at most one per product and n + 1 at
-    order n, at ENTRY_COST + bits; ``bits`` bounds every integer it forms."""
-    products, orders, bits, size, build = 1, 0, 0, 1, 0
+    terms, at PRODUCT_COST + b b' / LIMB for b and b' bits, and outputs at
+    most one entry per product and min(n, spread) + 1 at total order n, where
+    spread counts the orders of its enveloped factors, at ENTRY_COST + bits;
+    ``bits`` bounds every integer it forms."""
+    products, orders, spread, bits, size, build = 1, 0, 0, 0, 1, 0
     for a, k, rk in factors:
         top = _top(a, k, rk[0])
         b = _bits(a, top, k, rk)
         terms = (top + 1) * (top + 2) // 2 if rk[0] else top + 1
         build += terms * b * b // 4 if rk[0] else 0
+        spread += top if rk[0] else 0
         products *= terms
         orders += top
         bits += b
         size *= b
     bits += products.bit_length()
-    env = any(rk[0] for _, _, rk in factors)
-    entries = min(products, (orders + 1) * (orders + 2) // 2) if env else orders + 1
+    s = min(spread, orders)
+    entries = min(products, orders + 1 + s * (s + 1) // 2 + (orders - s) * s)
     cost = (products * PRODUCT_COST + (products * size + build) // LIMB
             + entries * (ENTRY_COST + bits))
     return Price(cost, bits, products, entries)
@@ -213,13 +215,17 @@ def _exponent_pairs(f: GaussianObservable) -> list[set[tuple[int, int]]]:
     return [set(zip(qs, ps)) for qs, ps in zip(zip(*alphas), zip(*betas))]
 
 
-def _check_work(what: str, prices: list[Price]) -> int:
-    """The most bits of the priced tables, if their work is in budget."""
-    work = sum(price.cost for price in prices)
-    if work > MAX_TABLE_WORK:
-        raise BudgetExceeded(f"{what} needs about {work:.3g} units of table work; "
-                             f"at most {MAX_TABLE_WORK} are done")
-    return max((price.bits for price in prices), default=0)
+def _check_work(what: str, prices: Iterable[Price]) -> int:
+    """The most bits of the priced tables; pricing stops once over budget."""
+    work = bits = 0
+    for price in prices:
+        work += price.cost
+        if work > MAX_TABLE_WORK:
+            # (an int past the float range has no .3g form)
+            raise BudgetExceeded(f"{what} needs at least {min(work, 10 ** 300):.3g} units "
+                                 f"of table work; at most {MAX_TABLE_WORK} are done")
+        bits = max(bits, price.bits)
+    return bits
 
 
 def _table(den: int, acc: dict[tuple[int, int], int], y0: int) -> Table:
@@ -340,10 +346,10 @@ def _moyal(f: Observable, g: Observable, order: int | None = None,
     pairs = len(fo.body.terms) * len(go.body.terms)
     largest = _price((a, d, rk), (c, b, sk))
     if pairs * dim * largest.cost > MAX_TABLE_WORK:
-        _check_work("the product", [
+        _check_work("the product", (
             _price((a, d, rk), (c, b, sk))
             for fk, gk in zip(_exponent_pairs(fo), _exponent_pairs(go))
-            for a, b in fk for c, d in gk])
+            for a, b in fk for c, d in gk))
     # cf * cg as an integer triple, reduced only in the output
     jobs = [(kf + kg, cf.re_num * cg.re_num - cf.im_num * cg.im_num,
              cf.re_num * cg.im_num + cf.im_num * cg.re_num, cf.den * cg.den,
@@ -384,8 +390,8 @@ def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     obs = GaussianObservable.of(f)
     rk = obs.rate.numerator, obs.rate.denominator
-    width = _check_work("the symmetrization map", [
-        _price((a, b, rk)) for pairs in _exponent_pairs(obs) for a, b in pairs])
+    width = _check_work("the symmetrization map", (
+        _price((a, b, rk)) for pairs in _exponent_pairs(obs) for a, b in pairs))
     sign = -1 if direction == "forward" else 1
     jobs = [(k, c.re_num, c.im_num, c.den,
              [_s_table(alpha[j], beta[j], rk, sign) for j in range(obs.dim)])
