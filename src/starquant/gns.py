@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Mapping, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, NonIntegrable, NotInIdeal
 from .observables import (GaussianObservable, Observable, PhasePolynomial, TermKey,
                           _compositions, _leibniz_terms)
-from .scalars import I, IntegralValue, LaurentSeries, Rat, Scalar, ZERO, i_power
+from .scalars import I, IntegralValue, LaurentSeries, Rat, Scalar, i_power
 from .star import s_map, star
 
 OpKey = tuple[int, tuple[int, ...]]
@@ -61,6 +61,19 @@ def _double_factorial(n: int) -> int:
     return out
 
 
+def _moment_numerator(alpha: Sequence[int]) -> int:
+    """prod_j (alpha_j - 1)!!, or 0 at the first odd exponent; an even
+    exponent above ``MAX_MOMENT_EXPONENT`` met before it raises."""
+    out = 1
+    for e in alpha:
+        if e % 2:
+            return 0
+        if e > MAX_MOMENT_EXPONENT:
+            raise BudgetExceeded(f"moment exponent {e} exceeds {MAX_MOMENT_EXPONENT}")
+        out *= _double_factorial(e - 1)
+    return out
+
+
 def gaussian_moment(exponent: int, rate: Fraction) -> Fraction:
     """integral of x^exponent e^{-rate x^2} dx over R, divided by sqrt(pi/rate).
 
@@ -68,16 +81,20 @@ def gaussian_moment(exponent: int, rate: Fraction) -> Fraction:
     (exponent-1)!! / (2 rate)^(exponent/2); even exponents above
     ``MAX_MOMENT_EXPONENT`` raise ``BudgetExceeded``.
     """
-    if exponent % 2 == 1:
+    top = _moment_numerator((exponent,))
+    if not top:
         return Fraction(0)
-    if exponent > MAX_MOMENT_EXPONENT:
-        raise BudgetExceeded(f"moment exponent {exponent} exceeds {MAX_MOMENT_EXPONENT}")
-    m = exponent // 2
-    return Fraction(_double_factorial(exponent - 1), 1) / (2 * rate) ** m
+    rate, m = Fraction(rate), exponent // 2
+    return Fraction(top * rate.denominator ** m, (2 * rate.numerator) ** m)
 
 
 def omega0(f: Observable) -> IntegralValue:
-    """Integrate the zero-section restriction of f over configuration space."""
+    """Integrate the zero-section restriction of f over configuration space.
+
+    The moment of q^alpha at rate rn/rd is prod_j (alpha_j - 1)!!
+    (rd/(2 rn))^(alpha_j/2); each lambda order is summed in integers over
+    one common denominator and reduced once.
+    """
     obs = GaussianObservable.of(f)
     base = obs.restrict_zero_section()
     n = obs.dim
@@ -85,17 +102,25 @@ def omega0(f: Observable) -> IntegralValue:
         return IntegralValue(LaurentSeries.zero(), Fraction(1), n)
     if base.rate == 0:
         raise NonIntegrable("restriction is a nonzero polynomial with no envelope")
-    series: dict[int, Scalar] = {}
+    up, down = base.rate.denominator, 2 * base.rate.numerator
+    jobs, common = [], 1
     for (k, alpha, _), c in base.body.terms.items():
-        moment = Fraction(1)
-        for e in alpha:
-            moment *= gaussian_moment(e, base.rate)
-            if moment == 0:
-                break
-        if moment == 0:
-            continue
-        series[k] = series.get(k, ZERO) + c * moment
-    return IntegralValue(LaurentSeries(series), base.rate, n)
+        moment = _moment_numerator(alpha)
+        if moment:
+            h = sum(alpha) // 2
+            moment *= up ** h
+            den = c.den * down ** h
+            common = lcm(common, den)
+            jobs.append((k, c.re_num * moment, c.im_num * moment, den))
+    acc: dict[int, list[int]] = {}
+    for k, re, im, den in jobs:
+        t = common // den
+        slot = acc.setdefault(k, [0, 0])
+        slot[0] += re * t
+        slot[1] += im * t
+    return IntegralValue(LaurentSeries({k: Scalar._raw(re, im, common)
+                                        for k, (re, im) in acc.items()}),
+                         base.rate, n)
 
 
 def inner0(f: Observable, g: Observable) -> IntegralValue:

@@ -22,6 +22,9 @@ Everything here is pure: no method mutates its receiver.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import comb, lcm, prod
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, EnvelopeMismatch
@@ -74,6 +77,20 @@ def _leibniz_terms(left, right, slots: Sequence[tuple[int, bool]]) -> list:
     return parts
 
 
+def _mul_into(acc: dict, left: list, right: list) -> None:
+    """Add the product of two numerator lists [(key, re, im)] into acc, a
+    {key: [re, im]} of numerators over the product of their denominators."""
+    for (k1, a1, b1), r1, i1 in left:
+        for (k2, a2, b2), r2, i2 in right:
+            key = (k1 + k2, tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+            else:
+                slot[0] += r1 * r2 - i1 * i2
+                slot[1] += r1 * i2 + i1 * r2
+
+
 class PhasePolynomial:
     """Polynomial in (q, p) over complex rationals, graded by lambda."""
 
@@ -117,6 +134,22 @@ class PhasePolynomial:
         poly.dim = dim
         poly.terms = terms
         return poly
+
+    @staticmethod
+    def _from_numerators(dim: int, acc: Mapping[TermKey, Sequence[int]],
+                         den: int) -> "PhasePolynomial":
+        """Trusted constructor from integer numerators: acc[key] = (re, im)
+        stands for (re + i*im)/den, and each nonzero one is reduced once."""
+        raw = Scalar._raw
+        return PhasePolynomial._from_clean(
+            dim, {key: raw(re, im, den) for key, (re, im) in acc.items() if re or im})
+
+    def _numerators(self) -> tuple[int, list]:
+        """(L, [(key, re, im)]): the terms as integer numerators over the
+        lcm L of their denominators."""
+        den = lcm(*(c.den for c in self.terms.values()))
+        return den, [(key, c.re_num * (den // c.den), c.im_num * (den // c.den))
+                     for key, c in self.terms.items()]
 
     # -- constructors -------------------------------------------------
 
@@ -241,17 +274,10 @@ class PhasePolynomial:
         if isinstance(other, (Scalar, int, Fraction)):
             return self.scale(other)
         self._check_dim(other)
-        out: dict[TermKey, Scalar] = {}
-        for (k1, a1, b1), c1 in self.terms.items():
-            for (k2, a2, b2), c2 in other.terms.items():
-                key = (k1 + k2,
-                       tuple(x + y for x, y in zip(a1, a2)),
-                       tuple(x + y for x, y in zip(b1, b2)))
-                prod = c1 * c2
-                acc = out.get(key)
-                out[key] = prod if acc is None else acc + prod
-        return PhasePolynomial._from_clean(
-            self.dim, {key: c for key, c in out.items() if not c.is_zero()})
+        (dl, left), (dr, right) = self._numerators(), other._numerators()
+        acc: dict = {}
+        _mul_into(acc, left, right)
+        return PhasePolynomial._from_numerators(self.dim, acc, dl * dr)
 
     def __rmul__(self, other: "Scalar | Rat") -> "PhasePolynomial":
         return self.scale(other)
@@ -321,26 +347,43 @@ class PhasePolynomial:
             self._check_dim(u)
             if not u.is_base_only():
                 raise ValueError("momentum substitution requires base-only shifts")
-        shifted_p = [PhasePolynomial.coordinate_p(k, self.dim) + shifts[k]
-                     for k in range(self.dim)]
-        # cache powers of each (p_k + u_k)
-        pow_cache: list[dict[int, PhasePolynomial]] = [
-            {0: PhasePolynomial.one(self.dim)} for _ in range(self.dim)]
+        # (p_k + u_k)^e = sum_m C(e, m) p_k^(e-m) u_k^m, over the products
+        # u^m = prod_k u_k^(m_k), each formed once a call as (den, numerators)
+        dim = self.dim
+        nums = [u._numerators() for u in shifts]
+        powers = [[(1, [((0, (0,) * dim, (0,) * dim), 1, 0)])] for _ in range(dim)]
+        bases: dict[tuple[int, ...], tuple[int, list]] = {}
 
-        def power(k: int, e: int) -> PhasePolynomial:
-            cache = pow_cache[k]
-            if e not in cache:
-                cache[e] = power(k, e - 1) * shifted_p[k]
-            return cache[e]
+        def times(x: tuple[int, list], y: tuple[int, list]) -> tuple[int, list]:
+            acc: dict = {}
+            _mul_into(acc, x[1], y[1])
+            return x[0] * y[0], [(key, re, im) for key, (re, im) in acc.items() if re or im]
 
-        out = PhasePolynomial.zero(self.dim)
+        def base(ms: tuple[int, ...]) -> tuple[int, list]:
+            if ms not in bases:
+                um = powers[0][0]
+                for pw, u, m in zip(powers, nums, ms):
+                    while len(pw) <= m:
+                        pw.append(times(pw[-1], u))
+                    if m:
+                        um = times(um, pw[m])
+                bases[ms] = um
+            return bases[ms]
+
+        jobs, common = [], 1
         for (k, alpha, beta), c in self.terms.items():
-            acc = PhasePolynomial._from_clean(self.dim, {(k, alpha, (0,) * self.dim): c})
-            for j, bj in enumerate(beta):
-                if bj:
-                    acc = acc * power(j, bj)
-            out = out + acc
-        return out
+            for ms in product(*(range(e + 1) if u else (0,) for e, u in zip(beta, shifts))):
+                w = prod(map(comb, beta, ms))
+                den, terms = base(ms)
+                den *= c.den
+                common = lcm(common, den)
+                jobs.append(((k, alpha, tuple(map(sub, beta, ms))), c.re_num * w,
+                             c.im_num * w, den, terms))
+        acc: dict = {}
+        for key, re, im, den, terms in jobs:
+            t = common // den
+            _mul_into(acc, [(key, re * t, im * t)], terms)
+        return PhasePolynomial._from_numerators(dim, acc, common)
 
     # -- ordering, equality, display ----------------------------------
 

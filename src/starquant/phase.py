@@ -25,12 +25,15 @@ agreement is a sharp cross-check of both.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .errors import DimensionMismatch, PhaseMismatch
 from .evolution import ActionData
-from .observables import GaussianObservable, PhasePolynomial, _leibniz_terms
-from .scalars import I, Rat, Scalar, i_power
+from .observables import GaussianObservable, PhasePolynomial, _leibniz_terms, _mul_into
+from .scalars import I, Rat, Scalar
+
+_ROTATIONS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^b as (re, im)
 
 
 class PhaseSymbol:
@@ -171,15 +174,30 @@ def phase_star(f: "PhaseSymbol | PhasePolynomial | GaussianObservable",
     gs = _as_symbol(g, s)
     fs._check(gs)
     n = fs.dim
-    out = PhaseSymbol(fs.s)
     # delta = (a, c) pairs d_q^a d_p^c f with d_p^a d_q^c g, weighted
-    # (i lambda/2)^b (-1)^|c| / (a! c!) with b = |a| + |c|
+    # (i lambda/2)^b (-1)^|c| / (a! c!) with b = |a| + |c|; every amplitude
+    # product is summed per phase over one common denominator
     slots = [(j, False) for j in range(n)] + [(j, True) for j in range(n)]
+    jobs, common = [], 1
     for delta, left, right, w in _leibniz_terms(fs, gs, slots):
         b = sum(delta)
-        coeff = i_power(b) * Fraction((-1) ** sum(delta[n:]), 2 ** b * w)
-        out = out + left.pointwise_mul(right).scale(coeff).mul_lambda(b)
-    return out
+        sign = (-1) ** sum(delta[n:])
+        re, im = (sign * x for x in _ROTATIONS[b % 4])
+        rights = [(t2, *a2._numerators()) for t2, a2 in right.terms.items()]
+        for t1, a1 in left.terms.items():
+            d1, n1 = a1._numerators()
+            n1 = [((k + b, alpha, beta), re * u - im * v, re * v + im * u)
+                  for (k, alpha, beta), u, v in n1]
+            for t2, d2, n2 in rights:
+                den = d1 * d2 * w << b
+                common = lcm(common, den)
+                jobs.append((t1 + t2, den, n1, n2))
+    acc: dict[Fraction, dict] = {}
+    for tau, den, n1, n2 in jobs:
+        t = common // den
+        _mul_into(acc.setdefault(tau, {}), [(key, u * t, v * t) for key, u, v in n1], n2)
+    return PhaseSymbol(fs.s, {tau: PhasePolynomial._from_numerators(n, nums, common)
+                              for tau, nums in acc.items()})
 
 
 def conjugate_by_phase(h: "PhasePolynomial | GaussianObservable", s: ActionData,

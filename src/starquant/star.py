@@ -55,13 +55,13 @@ dimensions would hold more than MAX_COMBINED bytes, before any is combined.
 
 from __future__ import annotations
 
+import gc
 from functools import lru_cache
 from math import factorial, gcd, lcm, log2
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, DimensionMismatch
 from .observables import GaussianObservable, Observable, PhasePolynomial
-from .scalars import Scalar
 
 _CACHE_SIZE = 2048  # entries per kernel cache
 
@@ -145,6 +145,15 @@ def _top(a: int, m: int, rate) -> int:
     return m if rate else min(a, m)
 
 
+def _hermite_terms(a: int, top: int) -> int:
+    """Terms of P(a, m, r > 0) over m = 0..top: min(m, (a + m) // 2) + 1 at
+    order m, as the exponents a + m, a + m - 2, ... stop at |a - m| or 0."""
+    low = min(top, a)
+    # sum_{s <= n} s // 2 = n^2 // 4 gives the orders past a
+    high = (a + top) ** 2 // 4 - a * a + top - a if top > a else 0
+    return (low + 1) * (low + 2) // 2 + high
+
+
 def _bits(a: int, top: int, k: int, rk: RateKey) -> int:
     """Bits of the numerators _factor(a, top, k, rk, +-1) holds, at most
     C(a, m) (k)_m 2^(top-m) at order m, or with an envelope (top = k)
@@ -168,17 +177,18 @@ def _bits(a: int, top: int, k: int, rk: RateKey) -> int:
 def _price(*factors: tuple[int, int, RateKey]) -> Price:
     """Price of the 1-d table of factors (a, k, rate), each _factor(a,
     _top(a, k, rate), k, rate): _s_table's one, _star_table's two.  A factor
-    has a term an order, or with an envelope at most m + 1 at order m, each a
-    product of two integers.  The table forms a product per pair of factor
-    terms, at PRODUCT_COST + b b' / LIMB for b and b' bits, and outputs at
-    most one entry per product and min(n, spread) + 1 at total order n, where
-    spread counts the orders of its enveloped factors, at ENTRY_COST + bits;
-    ``bits`` bounds every integer it forms."""
+    has a term an order, or with an envelope min(m, (a + m) // 2) + 1 at most
+    at order m (_hermite_terms), each a product of two integers.  The table
+    forms a product per pair of factor terms, at PRODUCT_COST + b b' / LIMB
+    for b and b' bits, and outputs at most one entry per product and
+    min(n, spread) + 1 at total order n, where spread counts the orders of
+    its enveloped factors, at ENTRY_COST + bits; ``bits`` bounds every
+    integer it forms."""
     products, orders, spread, bits, size, build = 1, 0, 0, 0, 1, 0
     for a, k, rk in factors:
         top = _top(a, k, rk[0])
         b = _bits(a, top, k, rk)
-        terms = (top + 1) * (top + 2) // 2 if rk[0] else top + 1
+        terms = _hermite_terms(a, top) if rk[0] else top + 1
         build += terms * b * b // 4 if rk[0] else 0
         spread += top if rk[0] else 0
         products *= terms
@@ -264,13 +274,17 @@ def _s_table(a: int, b: int, rk: RateKey, sign: int) -> Table:
                   {(m, x): u for m, tm in enumerate(terms) for x, u in tm}, b)
 
 
-def _combine(tables: list[Table]) -> list[Entry]:
-    """Product over dimensions of 1-d tables, over the product of their D."""
-    out = tables[0][1]
-    for _, entries in tables[1:]:
-        out = [(n + m, xs + x, ys + y, u * w)
-               for n, xs, ys, u in out for m, x, y, w in entries]
-    return out
+def _combine(tables: list[Table]) -> Iterator[Entry]:
+    """Product over two or more dimensions of 1-d tables, over the product of
+    their D, entry by entry: only the product of all but the last is held."""
+    head = tables[0][1]
+    for _, entries in tables[1:-1]:
+        head = [(n + m, xs + x, ys + y, u * w)
+                for n, xs, ys, u in head for m, x, y, w in entries]
+    last = tables[-1][1]
+    for n, xs, ys, u in head:
+        for m, x, y, w in last:
+            yield n + m, xs + x, ys + y, u * w
 
 
 def _sum(dim: int, what: str, jobs: list, width: int, order: int | None = None,
@@ -298,33 +312,39 @@ def _sum(dim: int, what: str, jobs: list, width: int, order: int | None = None,
         raise BudgetExceeded(f"{what} combines about {size:.3g} table entries of up to "
                              f"{dim * width} bits, about {held >> 20} MiB; at most "
                              f"{MAX_COMBINED >> 20} MiB are held")
-    acc: dict = {}
-    for (k, re, im, _, tables), den in zip(jobs, dens):
-        t = common // den
-        re, im = re * t, im * t
-        if order is not None:
-            # M_order: no i^n and no lambda shift, times 2^n n!
-            t = 2 ** order * factorial(order)
-            rots = ((re * t, im * t),) * 4
-            k -= order
-        else:
-            if odd_only:
-                re, im = 2 * re, 2 * im
-            rots = ((re, im), (-im, re), (-re, -im), (im, -re))  # i^n (re + i*im)
-        for n, xs, ys, u in tables[0][1] if dim == 1 else _combine(tables):
-            if order is not None and n != order or odd_only and not n & 1:
-                continue
-            r, i = rots[n & 3]
-            key = (k + n, xs, ys)
-            slot = acc.get(key)
-            if slot is None:
-                acc[key] = [r * u, i * u]
+    # every slot and key lives until the sum is done, so the cyclic collector
+    # could free none of them, yet near MAX_COMBINED it took half the time
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        acc: dict = {}
+        for (k, re, im, _, tables), den in zip(jobs, dens):
+            t = common // den
+            re, im = re * t, im * t
+            if order is not None:
+                # M_order: no i^n and no lambda shift, times 2^n n!
+                t = 2 ** order * factorial(order)
+                rots = ((re * t, im * t),) * 4
+                k -= order
             else:
-                slot[0] += r * u
-                slot[1] += i * u
-    raw = Scalar._raw
-    return PhasePolynomial._from_clean(
-        dim, {key: raw(re, im, common) for key, (re, im) in acc.items() if re or im})
+                if odd_only:
+                    re, im = 2 * re, 2 * im
+                rots = ((re, im), (-im, re), (-re, -im), (im, -re))  # i^n (re + i*im)
+            for n, xs, ys, u in tables[0][1] if dim == 1 else _combine(tables):
+                if order is not None and n != order or odd_only and not n & 1:
+                    continue
+                r, i = rots[n & 3]
+                key = (k + n, xs, ys)
+                slot = acc.get(key)
+                if slot is None:
+                    acc[key] = [r * u, i * u]
+                else:
+                    slot[0] += r * u
+                    slot[1] += i * u
+        return PhasePolynomial._from_numerators(dim, acc, common)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _moyal(f: Observable, g: Observable, order: int | None = None,

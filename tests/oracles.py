@@ -23,6 +23,12 @@ derivation, so agreement is evidence rather than tautology:
   composition by the generalized Leibniz rule on those grouped terms,
   and application by differentiating the argument term by term.  They
   see operators only through the public constructor and ``sorted_terms``.
+* ``reference_poly_mul``, ``reference_substitute_momenta``,
+  ``reference_phase_star`` and ``reference_omega0`` are the ring routes
+  that summing over one common denominator replaced: one ``Scalar``
+  product and sum per pair of terms, (p_k + u_k)^e as repeated products,
+  the phase star as a running sum of ``PhaseSymbol``s, and the state
+  as a sum of ``Fraction`` moments.
 * ``exact_poly_at`` evaluates a real q-polynomial at a float point in
   exact rational arithmetic, the reference for the grid tier's
   floating-point evaluator.
@@ -35,13 +41,15 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 
-from starquant import (ActionData, GaussianObservable, PhasePolynomial, SchrodingerOperator,
-                       star_commutator)
-from starquant.errors import DimensionMismatch
-from starquant.observables import _compositions
-from starquant.scalars import I, ONE, Scalar, i_power
+from starquant import (ActionData, GaussianObservable, IntegralValue, LaurentSeries,
+                       PhasePolynomial, PhaseSymbol, SchrodingerOperator, star_commutator)
+from starquant.errors import BudgetExceeded, DimensionMismatch, NonIntegrable
+from starquant.gns import MAX_MOMENT_EXPONENT
+from starquant.observables import _compositions, _leibniz_terms
+from starquant.phase import _as_symbol
+from starquant.scalars import I, ONE, ZERO, Scalar, i_power
 
 _HALF_I = Scalar(Fraction(0), Fraction(1, 2))
 
@@ -293,6 +301,81 @@ def reference_op_apply_base(a: SchrodingerOperator, phi: GaussianObservable) -> 
         if not deriv.is_zero():
             out = out + GaussianObservable(coeff.mul_lambda(k), a.rate) * deriv
     return out
+
+
+def reference_poly_mul(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
+    """f * g with one Scalar product and one Scalar sum per pair of terms."""
+    out: dict = {}
+    for (k1, a1, b1), c1 in f.terms.items():
+        for (k2, a2, b2), c2 in g.terms.items():
+            key = (k1 + k2, tuple(x + y for x, y in zip(a1, a2)),
+                   tuple(x + y for x, y in zip(b1, b2)))
+            prod = c1 * c2
+            acc = out.get(key)
+            out[key] = prod if acc is None else acc + prod
+    return PhasePolynomial(f.dim, out)
+
+
+def reference_substitute_momenta(f: PhasePolynomial, shifts) -> PhasePolynomial:
+    """p_k -> p_k + u_k, with (p_k + u_k)^e as e repeated products."""
+    n = f.dim
+    shifted_p = [PhasePolynomial.coordinate_p(k, n) + shifts[k] for k in range(n)]
+    out = PhasePolynomial.zero(n)
+    for (k, alpha, beta), c in f.terms.items():
+        acc = PhasePolynomial(n, {(k, alpha, (0,) * n): c})
+        for j, e in enumerate(beta):
+            for _ in range(e):
+                acc = reference_poly_mul(acc, shifted_p[j])
+        out = out + acc
+    return out
+
+
+def reference_phase_star(f, g) -> PhaseSymbol:
+    """The phase star as a running sum: each Leibniz term becomes a
+    PhaseSymbol of amplitude products, scaled and added to the total."""
+    s = f.s if isinstance(f, PhaseSymbol) else g.s
+    fs, gs = _as_symbol(f, s), _as_symbol(g, s)
+    n = fs.dim
+    out = PhaseSymbol(fs.s)
+    slots = [(j, False) for j in range(n)] + [(j, True) for j in range(n)]
+    for delta, left, right, w in _leibniz_terms(fs, gs, slots):
+        b = sum(delta)
+        coeff = i_power(b) * Fraction((-1) ** sum(delta[n:]), 2 ** b * w)
+        for t1, a1 in left.terms.items():
+            for t2, a2 in right.terms.items():
+                amp = reference_poly_mul(a1, a2).scale(coeff).mul_lambda(b)
+                out = out + PhaseSymbol(fs.s, {t1 + t2: amp})
+    return out
+
+
+def reference_gaussian_moment(exponent: int, rate: Fraction) -> Fraction:
+    """(exponent - 1)!! / (2 rate)^(exponent/2) in Fractions; 0 when odd."""
+    if exponent % 2 == 1:
+        return Fraction(0)
+    if exponent > MAX_MOMENT_EXPONENT:
+        raise BudgetExceeded(f"moment exponent {exponent} exceeds {MAX_MOMENT_EXPONENT}")
+    return Fraction(prod(range(exponent - 1, 0, -2))) / (2 * rate) ** (exponent // 2)
+
+
+def reference_omega0(f) -> IntegralValue:
+    """omega0 as a sum of Scalar coefficients times Fraction moments, the
+    moments of a term multiplied in the order of its exponents."""
+    base = GaussianObservable.of(f).restrict_zero_section()
+    n = base.dim
+    if base.is_zero():
+        return IntegralValue(LaurentSeries.zero(), Fraction(1), n)
+    if base.rate == 0:
+        raise NonIntegrable("restriction is a nonzero polynomial with no envelope")
+    series: dict = {}
+    for (k, alpha, _), c in base.body.terms.items():
+        moment = Fraction(1)
+        for e in alpha:
+            moment *= reference_gaussian_moment(e, base.rate)
+            if moment == 0:
+                break
+        if moment:
+            series[k] = series.get(k, ZERO) + c * moment
+    return IntegralValue(LaurentSeries(series), base.rate, n)
 
 
 def exact_poly_at(poly: PhasePolynomial, x: float) -> Fraction:

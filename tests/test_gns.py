@@ -19,8 +19,9 @@ from starquant import (BudgetExceeded, DimensionMismatch, GaussianObservable, In
                        weyl_check, weyl_symmetrize_oracle)
 from starquant.gns import MAX_MOMENT_EXPONENT, MAX_WEYL_MONOMIALS, MAX_WORD_LENGTH
 
-from conftest import base_polynomials, observables, polynomials
-from oracles import reference_op_apply_base, reference_op_compose, reference_pi0
+from conftest import base_polynomials, observables, polynomials, scalars
+from oracles import (reference_omega0, reference_op_apply_base, reference_op_compose,
+                     reference_pi0)
 from test_star import random_polynomial
 
 Q = PhasePolynomial.coordinate_q(0, 1)
@@ -289,3 +290,46 @@ def test_op_compose_matches_leibniz_reference(data):
 def test_oracle_rejects_long_words():
     with pytest.raises(ValueError):
         weyl_symmetrize_oracle((5,), (4,))
+
+
+# -- the integer state against the Fraction moments it replaced -----------
+
+@st.composite
+def state_inputs(draw):
+    dim = draw(st.integers(1, 3))
+    rate = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2)]))
+    # base terms with mostly even exponents, so most moments are nonzero
+    exponents = st.tuples(*([st.sampled_from([0, 1, 2, 3, 4, 6])] * dim))
+    keys = st.tuples(st.integers(-1, 1), exponents, st.just((0,) * dim))
+    base = PhasePolynomial(dim, dict(draw(st.lists(st.tuples(keys, scalars), max_size=4))))
+    rest = draw(polynomials(dim, max_terms=2, max_degree=2, min_lambda=-1, max_lambda=1))
+    return GaussianObservable(base + rest, rate)
+
+
+@given(state_inputs())
+@settings(max_examples=150)
+def test_omega0_matches_the_fraction_route(f):
+    if f.rate == 0 and not f.restrict_zero_section().is_zero():
+        for route in (omega0, reference_omega0):
+            with pytest.raises(NonIntegrable):
+                route(f)
+        return
+    value = reference_omega0(f)
+    assert omega0(f) == value
+    # less each order's value as a constant, the moments cancel to zero
+    z = (0,) * f.dim
+    balance = PhasePolynomial(f.dim, {(k, z, z): c for k, c in value.coeff.terms.items()})
+    cancelled = f - GaussianObservable(balance, f.rate)
+    assert omega0(cancelled).is_zero() and reference_omega0(cancelled).is_zero()
+
+
+def test_omega0_budget_order_matches_the_fraction_route():
+    # exponents are read in order: an odd one first skips the term, a
+    # moment exponent over the budget first refuses it
+    big = MAX_MOMENT_EXPONENT + 2
+    skipped = obs(PhasePolynomial.monomial(2, 0, (3, big), (0, 0)) + PhasePolynomial.one(2), 1)
+    assert omega0(skipped) == reference_omega0(skipped) == omega0(obs(PhasePolynomial.one(2), 1))
+    refused = obs(PhasePolynomial.monomial(2, 0, (big, 3), (0, 0)), 1)
+    for route in (omega0, reference_omega0):
+        with pytest.raises(BudgetExceeded):
+            route(refused)

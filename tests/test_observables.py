@@ -12,6 +12,7 @@ from starquant import (DimensionMismatch, EnvelopeMismatch, GaussianObservable,
                        substitute_momenta)
 
 from conftest import base_polynomials, observables, polynomials
+from oracles import reference_poly_mul, reference_substitute_momenta
 
 Q = PhasePolynomial.coordinate_q(0, 1)
 P = PhasePolynomial.coordinate_p(0, 1)
@@ -153,3 +154,42 @@ def test_arithmetic_results_are_canonical(case):
         results += [f.diff_q(k), f.diff_p(k), F.diff_q(k)]
     for result in results:
         _assert_canonical(result)
+
+
+# -- the one-denominator ring against the term-by-term routes it replaced --
+
+RATES = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2)])
+
+
+@st.composite
+def ring_cases(draw):
+    dim = draw(st.integers(1, 3))
+    poly = polynomials(dim, max_terms=3, max_degree=2, min_lambda=-1, max_lambda=1)
+    shifts = [draw(base_polynomials(dim, max_terms=2, max_degree=2)) for _ in range(dim)]
+    return draw(poly), draw(poly), shifts
+
+
+@given(ring_cases(), RATES, RATES)
+def test_product_matches_the_term_by_term_route(case, r, s):
+    f, g, _ = case
+    # in (f + g)(f - g) the cross terms cancel to zero
+    for x, y in ((f, g), (f + g, f - g)):
+        want = reference_poly_mul(x, y)
+        assert x * y == want
+        assert GaussianObservable(x, r) * GaussianObservable(y, s) == GaussianObservable(want, r + s)
+
+
+@given(ring_cases(), RATES)
+def test_substitution_matches_repeated_products(case, rate):
+    f, _, shifts = case
+    # p_k - u_k becomes p_k: the binomial terms of the shift cancel to zero
+    cancelled = f
+    for k, u in enumerate(shifts):
+        cancelled = cancelled * (PhasePolynomial.coordinate_p(k, f.dim) - u)
+    for x in (f, cancelled):
+        want = reference_substitute_momenta(x, shifts)
+        assert x.substitute_momenta(shifts) == want
+        assert (GaussianObservable(x, rate).substitute_momenta(shifts)
+                == GaussianObservable(want, rate))
+    momenta = PhasePolynomial.monomial(f.dim, 0, (0,) * f.dim, (1,) * f.dim)
+    assert cancelled.substitute_momenta(shifts) == f.substitute_momenta(shifts) * momenta

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -11,13 +12,14 @@ from starquant import (ActionData, GaussianObservable, PhasePolynomial,
                        PhaseMismatch, PhaseSymbol, Scalar, conjugate_by_phase,
                        evolve, phase_star)
 
-from conftest import polynomials
-from oracles import reference_star
+from conftest import base_polynomials, polynomials, real_scalars
+from oracles import picard_evolve, reference_phase_star, reference_star
 from test_star import random_polynomial
 
 Q = PhasePolynomial.coordinate_q(0, 1)
 P = PhasePolynomial.coordinate_p(0, 1)
 I = Scalar(Fraction(0), Fraction(1))
+kernel = importlib.import_module("starquant.star")
 
 S_QUAD = ActionData(Q * Q * Fraction(1, 2))
 S_CUBE = ActionData(Q ** 3)
@@ -162,3 +164,52 @@ def test_phase_star_termination_bound():
         prod = phase_star(f, g)
         for _tau, amp in prod.sorted_terms():
             assert amp.min_lambda_order() >= -(f.degree_p() + g.degree_p())
+
+
+# -- the one-denominator phase star against the running sum it replaced --
+
+PHASES = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1)])
+
+
+@st.composite
+def phase_pairs(draw):
+    dim = draw(st.integers(1, 3))
+    action = draw(base_polynomials(dim, max_terms=2, max_degree=3, coeffs=real_scalars))
+    s = ActionData(action)
+    amps = polynomials(dim, max_terms=2, max_degree=3 - dim // 2, min_lambda=-1,
+                       max_lambda=1)
+    return (PhaseSymbol(s, draw(st.dictionaries(PHASES, amps, max_size=2))),
+            PhaseSymbol(s, draw(st.dictionaries(PHASES, amps, max_size=2))))
+
+
+@given(phase_pairs(), PHASES)
+@settings(max_examples=40)
+def test_phase_star_matches_the_running_sum(pair, t):
+    f, g = pair
+    assert phase_star(f, g) == reference_phase_star(f, g)
+    # dressing with e^{i t S/lambda} and its inverse: every phase other
+    # than the ones f already carries cancels to zero
+    left, right = PhaseSymbol.pure_phase(f.s, t), PhaseSymbol.pure_phase(f.s, -t)
+    dressed = phase_star(left, f)
+    assert dressed == reference_phase_star(left, f)
+    assert phase_star(dressed, right) == reference_phase_star(dressed, right)
+
+
+def test_phase_route_and_evolution_never_call_the_star_kernel(monkeypatch):
+    # conjugate_by_phase and evolve cross-check each other and the kernel,
+    # so neither may reach the kernel's tables or its sum
+    q1, q2 = (PhasePolynomial.coordinate_q(j, 2) for j in range(2))
+    p1, p2 = (PhasePolynomial.coordinate_p(j, 2) for j in range(2))
+    cases = [(P ** 4 + Q * P ** 2, S_CUBE, Fraction(2, 3)),
+             (P ** 3 * Q, S_QUAD, Fraction(-1, 2)),
+             (p1 ** 3 * p2 + q2 * p1, ActionData(q1 * q1 * q2 + q2 ** 3), Fraction(1, 3))]
+    want = [picard_evolve(GaussianObservable(h), t, s).body for h, s, t in cases]
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the star kernel was called")
+
+    for name in ("_star_table", "_s_table", "_sum"):
+        monkeypatch.setattr(kernel, name, no_kernel)
+    for (h, s, t), expect in zip(cases, want):
+        assert conjugate_by_phase(h, s, t) == expect
+        assert evolve(GaussianObservable(h), t, s).body == expect

@@ -336,6 +336,21 @@ def test_table_work_budget_admits_large_monomials():
     assert star(obs(Q ** 2000), obs(PhasePolynomial.one(1))) == obs(Q ** 2000)
 
 
+def test_enveloped_factor_is_priced_at_its_hermite_terms():
+    # P(0, m, r) has m // 2 + 1 terms, not m + 1, so s_map(p^300) at rate 1
+    # is admitted and ends cold well inside the budget's time
+    f = obs(P ** 300, 1)
+    for cache in (kernel._star_table, kernel._s_table, kernel._one):
+        cache.cache_clear()
+    start = time.perf_counter()
+    forward = s_map(f).body
+    assert time.perf_counter() - start < 2.0
+    # sum_m (m // 2 + 1) terms; order 1 is -(i lambda/2) d_q d_p of p^300 e^{-q^2}
+    assert len(forward.terms) == 22801
+    assert forward.coefficient(0, (0,), (300,)) == Scalar.of(1)
+    assert forward.coefficient(1, (1,), (299,)) == Scalar(0, 300)
+
+
 # -- the table price ----------------------------------------------------
 
 PRICE_EXPONENTS = st.integers(0, 80)
