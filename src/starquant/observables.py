@@ -16,6 +16,13 @@ The exact tier works with two closed classes of functions of
   momentum substitutions used by fiber flows; sums require matching
   rates because a sum of distinct envelopes is not representable.
 
+Sums of products go over one denominator.  The product, the momentum
+substitution, and outside this module the star kernel, the phase star and
+the flat state, put their inputs over a common denominator, add plain
+integer numerators per output term and reduce each output coefficient
+once (``PhasePolynomial._from_numerators``), never one ``Scalar`` at a
+time.
+
 Everything here is pure: no method mutates its receiver.
 """
 
@@ -350,8 +357,9 @@ class PhasePolynomial:
         # (p_k + u_k)^e = sum_m C(e, m) p_k^(e-m) u_k^m, over the products
         # u^m = prod_k u_k^(m_k), each formed once a call as (den, numerators)
         dim = self.dim
+        one = (1, [((0, (0,) * dim, (0,) * dim), 1, 0)])
         nums = [u._numerators() for u in shifts]
-        powers = [[(1, [((0, (0,) * dim, (0,) * dim), 1, 0)])] for _ in range(dim)]
+        powers = [[one] for _ in range(dim)]
         bases: dict[tuple[int, ...], tuple[int, list]] = {}
 
         def times(x: tuple[int, list], y: tuple[int, list]) -> tuple[int, list]:
@@ -361,7 +369,7 @@ class PhasePolynomial:
 
         def base(ms: tuple[int, ...]) -> tuple[int, list]:
             if ms not in bases:
-                um = powers[0][0]
+                um = one
                 for pw, u, m in zip(powers, nums, ms):
                     while len(pw) <= m:
                         pw.append(times(pw[-1], u))

@@ -31,9 +31,7 @@ from typing import Mapping
 from .errors import DimensionMismatch, PhaseMismatch
 from .evolution import ActionData
 from .observables import GaussianObservable, PhasePolynomial, _leibniz_terms, _mul_into
-from .scalars import I, Rat, Scalar
-
-_ROTATIONS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^b as (re, im)
+from .scalars import I, Rat, Scalar, i_power
 
 
 class PhaseSymbol:
@@ -181,8 +179,8 @@ def phase_star(f: "PhaseSymbol | PhasePolynomial | GaussianObservable",
     jobs, common = [], 1
     for delta, left, right, w in _leibniz_terms(fs, gs, slots):
         b = sum(delta)
-        sign = (-1) ** sum(delta[n:])
-        re, im = (sign * x for x in _ROTATIONS[b % 4])
+        rot, sign = i_power(b), (-1) ** sum(delta[n:])
+        re, im = sign * rot.re_num, sign * rot.im_num
         rights = [(t2, *a2._numerators()) for t2, a2 in right.terms.items()]
         for t1, a1 in left.terms.items():
             d1, n1 = a1._numerators()

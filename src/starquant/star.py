@@ -81,9 +81,10 @@ RateKey = tuple[int, int]
 # in (best of 3, two runs): star(q^4608, p^4608) 0.32-0.34 s, star(q^261
 # p^261, q^261 p^261) 0.18-0.29 s, s_map(q^4611 p^4611) 0.28-0.30 s; at
 # rate 1 star(q^252, p^252) 0.24-0.28 s, star(q^36 p^36, q^36 p^36)
-# 0.19-0.25 s, s_map(q^252 p^252) 0.24-0.28 s; at rate 1/3 s_map(q^243
-# p^243) 0.38-0.41 s.  The tests that do not probe the line need at most
-# 8.7e7 units, and the benchmark, its left-out heavy cases included, 2.2e6.
+# 0.19-0.25 s, s_map(q^252 p^252) 0.24-0.28 s, s_map(p^344) 0.23-0.33 s
+# (three runs); at rate 1/3 s_map(q^243 p^243) 0.38-0.41 s.  The tests
+# that do not probe the line need at most 8.7e7 units, and the benchmark,
+# its left-out heavy cases included, 2.2e6.
 MAX_TABLE_WORK = 250_000_000
 PRODUCT_COST, LIMB, ENTRY_COST = 400, 1000, 4000
 # Most bytes one call's combined entries may hold, each at ENTRY_BYTES
