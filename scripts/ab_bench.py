@@ -16,7 +16,12 @@ stdout gives, per workload and metric, each side's median [Q1, Q3]
 the medians, the pairs the change read better (``change_better_pairs``,
 ties count for neither) and whether the change's median is within the
 metric's bound in the change's ``BENCHMARK.json``: the layout of the
-``BENCH_<n>.json`` files.  The script reads ``bench/`` and changes
+``BENCH_<n>.json`` files.  Two verdicts apply the claim rule:
+``gain_shown`` when the change read better in at least 9 of 10 pairs and
+its median beats the parent's by more than the parent's Q3 - Q1, and
+``unresolved`` when that parent IQR is wider than the metric's bound (a
+fraction of the parent's median), so the runs spread too widely to
+judge the bound.  The script reads ``bench/`` and changes
 nothing in either checkout but what a benchmark run writes there.
 """
 
@@ -66,10 +71,14 @@ def summary(runs: list[float]) -> dict:
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     sign = 1 if better == "higher" else -1
     p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     return {"parent": summary(parent), "change": summary(change),
             "ratio_change_over_parent": round(c_med / p_med, 4) if p_med else None,
-            "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-            "within_bound": sign * (c_med - p_med) >= -bound * abs(p_med)}
+            "change_better_pairs": wins,
+            "within_bound": sign * (c_med - p_med) >= -bound * abs(p_med),
+            "gain_shown": 10 * wins >= 9 * len(parent) and sign * (c_med - p_med) > q3 - q1,
+            "unresolved": q3 - q1 > bound * abs(p_med)}
 
 
 def main() -> int:
@@ -121,7 +130,9 @@ def main() -> int:
                   "tree (git archive); the side that runs first alternates from pair to "
                   "pair; quartiles are the inclusive method of statistics.quantiles; "
                   "change_better_pairs counts pairs where the change read better (ties "
-                  "count for neither)",
+                  "count for neither); gain_shown: at least 9/10 pairs better and the "
+                  "median gap above the parent's Q3 - Q1; unresolved: the parent's Q3 - Q1 "
+                  "above bound * |parent median|",
         "parent_commit": commits["parent"][:7], "change_commit": commits["change"][:7],
         "end_to_end": report}, indent=1))
     return 0

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, NonIntegrable, NotInIdeal
 from .observables import (GaussianObservable, Observable, PhasePolynomial, TermKey,
-                          _compositions, _leibniz_terms)
+                          _compositions, _leibniz_terms, _sum_of_products)
 from .scalars import I, IntegralValue, LaurentSeries, Rat, Scalar, i_power
 from .star import s_map, star
 
@@ -296,11 +296,10 @@ def op_compose(a: SchrodingerOperator, b: SchrodingerOperator) -> SchrodingerOpe
     envelope of sigma_b, and envelope rates add.
     """
     a._check(b)
-    out = GaussianObservable.zero(a.dim)
-    for _, da, db, w in _leibniz_terms(a.symbol, b.symbol,
-                                       [(j, True) for j in range(a.dim)]):
-        out = out + (da * db).scale(Fraction(1, w))
-    return SchrodingerOperator._of(out)
+    jobs = [(0, 1, 0, w, da.body, db.body) for _, da, db, w in
+            _leibniz_terms(a.symbol, b.symbol, [(j, True) for j in range(a.dim)])]
+    return SchrodingerOperator._of(GaussianObservable._make(
+        _sum_of_products(a.dim, jobs), a.rate + b.rate))
 
 
 def op_apply_base(a: SchrodingerOperator, phi: Observable) -> GaussianObservable:
@@ -329,7 +328,7 @@ def pi0(f: Observable) -> SchrodingerOperator:
     symbol = {(k + sum(beta), alpha, beta): c * i_power(-sum(beta))
               for (k, alpha, beta), c in g.body.terms.items()}
     return SchrodingerOperator._of(
-        GaussianObservable(PhasePolynomial._from_clean(g.dim, symbol), g.rate))
+        GaussianObservable._make(PhasePolynomial._from_clean(g.dim, symbol), g.rate))
 
 
 def weyl_symmetrize_oracle(alpha: Sequence[int], beta: Sequence[int]) -> SchrodingerOperator:

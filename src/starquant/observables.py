@@ -17,11 +17,19 @@ The exact tier works with two closed classes of functions of
   rates because a sum of distinct envelopes is not representable.
 
 Sums of products go over one denominator.  The product, the momentum
-substitution, and outside this module the star kernel, the phase star and
-the flat state, put their inputs over a common denominator, add plain
+substitution, ``_sum_of_products`` (operator composition, the odd-order
+tail of the flow) and outside this module the star kernel, the phase star
+and the flat state, put their inputs over a common denominator, add plain
 integer numerators per output term and reduce each output coefficient
 once (``PhasePolynomial._from_numerators``), never one ``Scalar`` at a
 time.
+
+Public constructors validate; arithmetic results skip the checks.
+``PhasePolynomial(...)``, ``GaussianObservable(...)`` and ``PhaseSymbol(...)``
+check and normalize outside input.  Every arithmetic result is built by a
+trusted constructor (``PhasePolynomial._from_clean``,
+``GaussianObservable._make``, ``PhaseSymbol._from_clean``) whose
+preconditions the arithmetic already guarantees.
 
 Everything here is pure: no method mutates its receiver.
 """
@@ -38,6 +46,7 @@ from .errors import DimensionMismatch, EnvelopeMismatch
 from .scalars import ONE, Rat, Scalar, ZERO, _frac
 
 TermKey = tuple[int, tuple[int, ...], tuple[int, ...]]
+_NO_RATE = Fraction(0)  # the rate of a zero or unenveloped observable
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -96,6 +105,25 @@ def _mul_into(acc: dict, left: list, right: list) -> None:
             else:
                 slot[0] += r1 * r2 - i1 * i2
                 slot[1] += r1 * i2 + i1 * r2
+
+
+def _sum_of_products(dim: int, jobs: Sequence[tuple]) -> "PhasePolynomial":
+    """The sum over jobs (k, re, im, den, a, b) of lambda^k (re + i*im)/den
+    times the product a * b of two PhasePolynomials, over one common
+    denominator."""
+    parts, common = [], 1
+    for k, re, im, den, a, b in jobs:
+        (da, na), (db, nb) = a._numerators(), b._numerators()
+        den *= da * db
+        common = lcm(common, den)
+        parts.append((k, re, im, den, na, nb))
+    acc: dict = {}
+    for k, re, im, den, na, nb in parts:
+        t = common // den
+        re, im = re * t, im * t
+        _mul_into(acc, [((kk + k, alpha, beta), re * u - im * v, re * v + im * u)
+                        for (kk, alpha, beta), u, v in na], nb)
+    return PhasePolynomial._from_numerators(dim, acc, common)
 
 
 class PhasePolynomial:
@@ -278,13 +306,10 @@ class PhasePolynomial:
         return PhasePolynomial._from_clean(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "PhasePolynomial | Scalar | Rat") -> "PhasePolynomial":
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        self._check_dim(other)
-        (dl, left), (dr, right) = self._numerators(), other._numerators()
-        acc: dict = {}
-        _mul_into(acc, left, right)
-        return PhasePolynomial._from_numerators(self.dim, acc, dl * dr)
+        if isinstance(other, PhasePolynomial):
+            self._check_dim(other)
+            return _sum_of_products(self.dim, ((0, 1, 0, 1, self, other),))
+        return self.scale(other)
 
     def __rmul__(self, other: "Scalar | Rat") -> "PhasePolynomial":
         return self.scale(other)
@@ -322,7 +347,7 @@ class PhasePolynomial:
             if e == 0:
                 continue
             alpha2 = alpha[:index] + (e - 1,) + alpha[index + 1:]
-            out[(k, alpha2, beta)] = c * e
+            out[(k, alpha2, beta)] = Scalar._raw(c.re_num * e, c.im_num * e, c.den)
         return PhasePolynomial._from_clean(self.dim, out)
 
     def diff_p(self, index: int) -> "PhasePolynomial":
@@ -332,7 +357,7 @@ class PhasePolynomial:
             if e == 0:
                 continue
             beta2 = beta[:index] + (e - 1,) + beta[index + 1:]
-            out[(k, alpha, beta2)] = c * e
+            out[(k, alpha, beta2)] = Scalar._raw(c.re_num * e, c.im_num * e, c.den)
         return PhasePolynomial._from_clean(self.dim, out)
 
     def conjugate(self) -> "PhasePolynomial":
@@ -425,22 +450,29 @@ class GaussianObservable:
 
     def __init__(self, body: PhasePolynomial, rate: Rat = 0):
         rate = _frac(rate)
-        if rate < 0:
+        if rate.numerator < 0:
             raise ValueError("envelope rate must be nonnegative")
-        if body.is_zero():
-            rate = Fraction(0)
         self.body = body
-        self.rate = rate
+        self.rate = rate if body.terms else _NO_RATE
+
+    @staticmethod
+    def _make(body: PhasePolynomial, rate: Fraction) -> "GaussianObservable":
+        """Trusted constructor for arithmetic results; takes ``body`` over.
+        Precondition: ``rate`` is a ``Fraction`` >= 0.  A zero body gets rate 0."""
+        obs = object.__new__(GaussianObservable)
+        obs.body = body
+        obs.rate = rate if body.terms else _NO_RATE
+        return obs
 
     @staticmethod
     def of(x: "GaussianObservable | PhasePolynomial") -> "GaussianObservable":
         if isinstance(x, GaussianObservable):
             return x
-        return GaussianObservable(x)
+        return GaussianObservable._make(x, _NO_RATE)
 
     @staticmethod
     def zero(dim: int) -> "GaussianObservable":
-        return GaussianObservable(PhasePolynomial.zero(dim))
+        return GaussianObservable._make(PhasePolynomial.zero(dim), _NO_RATE)
 
     @property
     def dim(self) -> int:
@@ -466,28 +498,29 @@ class GaussianObservable:
         if other.is_zero():
             return self
         self._check_rate(other)
-        return GaussianObservable(self.body + other.body, self.rate)
+        return GaussianObservable._make(self.body + other.body, self.rate)
 
     def __sub__(self, other: "GaussianObservable") -> "GaussianObservable":
         return self + (-other)
 
     def __neg__(self) -> "GaussianObservable":
-        return GaussianObservable(-self.body, self.rate)
+        return GaussianObservable._make(-self.body, self.rate)
 
     def __mul__(self, other: "GaussianObservable | PhasePolynomial | Scalar | Rat") -> "GaussianObservable":
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        o = GaussianObservable.of(other)
-        return GaussianObservable(self.body * o.body, self.rate + o.rate)
+        if isinstance(other, GaussianObservable):
+            return GaussianObservable._make(self.body * other.body, self.rate + other.rate)
+        if isinstance(other, PhasePolynomial):
+            return GaussianObservable._make(self.body * other, self.rate)
+        return self.scale(other)
 
     def __rmul__(self, other: "Scalar | Rat") -> "GaussianObservable":
         return self.scale(other)
 
     def scale(self, c: Scalar | Rat) -> "GaussianObservable":
-        return GaussianObservable(self.body.scale(c), self.rate)
+        return GaussianObservable._make(self.body.scale(c), self.rate)
 
     def mul_lambda(self, orders: int) -> "GaussianObservable":
-        return GaussianObservable(self.body.mul_lambda(orders), self.rate)
+        return GaussianObservable._make(self.body.mul_lambda(orders), self.rate)
 
     def diff_q(self, index: int) -> "GaussianObservable":
         # d/dq_i (B * e^{-c|q|^2}) = (dB/dq_i - 2c q_i B) * e^{-c|q|^2}
@@ -495,19 +528,19 @@ class GaussianObservable:
         if self.rate:
             qi = PhasePolynomial.coordinate_q(index, self.dim)
             body = body - (qi * self.body).scale(2 * self.rate)
-        return GaussianObservable(body, self.rate)
+        return GaussianObservable._make(body, self.rate)
 
     def diff_p(self, index: int) -> "GaussianObservable":
-        return GaussianObservable(self.body.diff_p(index), self.rate)
+        return GaussianObservable._make(self.body.diff_p(index), self.rate)
 
     def conjugate(self) -> "GaussianObservable":
-        return GaussianObservable(self.body.conjugate(), self.rate)
+        return GaussianObservable._make(self.body.conjugate(), self.rate)
 
     def restrict_zero_section(self) -> "GaussianObservable":
-        return GaussianObservable(self.body.restrict_zero_section(), self.rate)
+        return GaussianObservable._make(self.body.restrict_zero_section(), self.rate)
 
     def substitute_momenta(self, shifts: Sequence[PhasePolynomial]) -> "GaussianObservable":
-        return GaussianObservable(self.body.substitute_momenta(shifts), self.rate)
+        return GaussianObservable._make(self.body.substitute_momenta(shifts), self.rate)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GaussianObservable)

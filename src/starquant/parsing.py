@@ -21,6 +21,8 @@ The leading unary minus is accepted so canonically printed observables
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -34,6 +36,8 @@ MAX_DEPTH = 100
 # Most terms a power of a sum may expand to: (q+p)^999 parses in about
 # 1.5 s on 2 vCPUs, and the cost grows as the square of the term count.
 MAX_POWER_TERMS = 1000
+# the exponent of a decimal numeral such as '2.5e-3' (Fraction's own syntax)
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 class ObservableParseError(StarquantError):
@@ -305,7 +309,18 @@ def parse_observable(text: str, n: int, envelope_rate: Rat = 0) -> GaussianObser
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational from 'a' or 'a/b' (signs allowed)."""
+    """Exact rational from 'a', 'a/b' or a decimal such as '-2.5e-3'.
+
+    Fraction computes 10**exponent with no bound, so an exponent whose
+    magnitude exceeds the int-from-string limit (sys.get_int_max_str_digits)
+    is a syntax error, raised before any arithmetic.
+    """
+    exponent, limit = _EXPONENT.search(text), sys.get_int_max_str_digits()
+    if exponent and limit:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or digits and int(digits) > limit:
+            raise ObservableSyntaxError(f"exponent of {text.strip()[:40]!r} exceeds {limit}",
+                                        1, 1)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

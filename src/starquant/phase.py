@@ -30,8 +30,9 @@ from typing import Mapping
 
 from .errors import DimensionMismatch, PhaseMismatch
 from .evolution import ActionData
-from .observables import GaussianObservable, PhasePolynomial, _leibniz_terms, _mul_into
-from .scalars import I, Rat, Scalar, i_power
+from .observables import (GaussianObservable, PhasePolynomial, _leibniz_terms, _mul_into,
+                          _sum_of_products)
+from .scalars import Rat, Scalar, i_power
 
 
 class PhaseSymbol:
@@ -56,6 +57,16 @@ class PhaseSymbol:
                     else:
                         clean[tau] = amp
         self.terms = clean
+
+    @staticmethod
+    def _from_clean(s: ActionData, terms: dict[Fraction, PhasePolynomial]) -> "PhaseSymbol":
+        """Trusted constructor for arithmetic results: keeps the nonzero
+        amplitudes of ``terms``.  Precondition: every key is a ``Fraction``
+        and every amplitude a PhasePolynomial of dimension ``s.dim``."""
+        sym = object.__new__(PhaseSymbol)
+        sym.s = s
+        sym.terms = {tau: amp for tau, amp in terms.items() if amp.terms}
+        return sym
 
     @staticmethod
     def pure_phase(s: ActionData, tau: Rat) -> "PhaseSymbol":
@@ -83,38 +94,36 @@ class PhaseSymbol:
         out = dict(self.terms)
         for tau, amp in other.terms.items():
             out[tau] = out.get(tau, PhasePolynomial.zero(self.dim)) + amp
-        return PhaseSymbol(self.s, out)
+        return PhaseSymbol._from_clean(self.s, out)
 
     def scale(self, c: Scalar | Rat) -> "PhaseSymbol":
-        return PhaseSymbol(self.s, {t: a.scale(c) for t, a in self.terms.items()})
+        return PhaseSymbol._from_clean(self.s, {t: a.scale(c) for t, a in self.terms.items()})
 
     def mul_lambda(self, orders: int) -> "PhaseSymbol":
-        return PhaseSymbol(self.s, {t: a.mul_lambda(orders) for t, a in self.terms.items()})
+        return PhaseSymbol._from_clean(
+            self.s, {t: a.mul_lambda(orders) for t, a in self.terms.items()})
 
     def pointwise_mul(self, other: "PhaseSymbol") -> "PhaseSymbol":
         self._check(other)
-        out: dict[Fraction, PhasePolynomial] = {}
+        jobs: dict[Fraction, list] = {}
         for t1, a1 in self.terms.items():
             for t2, a2 in other.terms.items():
-                tau = t1 + t2
-                prod = a1 * a2
-                prev = out.get(tau)
-                out[tau] = prod if prev is None else prev + prod
-        return PhaseSymbol(self.s, out)
+                jobs.setdefault(t1 + t2, []).append((0, 1, 0, 1, a1, a2))
+        return PhaseSymbol._from_clean(
+            self.s, {tau: _sum_of_products(self.dim, js) for tau, js in jobs.items()})
 
     def diff_q(self, index: int) -> "PhaseSymbol":
-        out: dict[Fraction, PhasePolynomial] = {}
+        grad, out = self.s.gradient[index], {}
         for tau, amp in self.terms.items():
             d = amp.diff_q(index)
-            if tau:
-                d = d + (amp * self.s.gradient[index]).scale(I * tau).mul_lambda(-1)
-            if not d.is_zero():
-                prev = out.get(tau)
-                out[tau] = d if prev is None else prev + d
-        return PhaseSymbol(self.s, out)
+            if tau:  # plus i tau lambda^-1 (d_k S) amp from the phase factor
+                d = d + _sum_of_products(
+                    self.dim, ((-1, 0, tau.numerator, tau.denominator, amp, grad),))
+            out[tau] = d
+        return PhaseSymbol._from_clean(self.s, out)
 
     def diff_p(self, index: int) -> "PhaseSymbol":
-        return PhaseSymbol(
+        return PhaseSymbol._from_clean(
             self.s, {tau: amp.diff_p(index) for tau, amp in self.terms.items()})
 
     def _check(self, other: "PhaseSymbol") -> None:
@@ -194,8 +203,8 @@ def phase_star(f: "PhaseSymbol | PhasePolynomial | GaussianObservable",
     for tau, den, n1, n2 in jobs:
         t = common // den
         _mul_into(acc.setdefault(tau, {}), [(key, u * t, v * t) for key, u, v in n1], n2)
-    return PhaseSymbol(fs.s, {tau: PhasePolynomial._from_numerators(n, nums, common)
-                              for tau, nums in acc.items()})
+    return PhaseSymbol._from_clean(fs.s, {tau: PhasePolynomial._from_numerators(n, nums, common)
+                                       for tau, nums in acc.items()})
 
 
 def conjugate_by_phase(h: "PhasePolynomial | GaussianObservable", s: ActionData,

@@ -377,7 +377,8 @@ def _moyal(f: Observable, g: Observable, order: int | None = None,
              [_star_table(af[k], bf[k], rk, ag[k], bg[k], sk) for k in range(dim)])
             for (kf, af, bf), cf in fo.body.terms.items()
             for (kg, ag, bg), cg in go.body.terms.items()]
-    return GaussianObservable(_sum(dim, "the product", jobs, largest.bits, order, odd_only), r + s)
+    return GaussianObservable._make(_sum(dim, "the product", jobs, largest.bits, order, odd_only),
+                                    r + s)
 
 
 def bidiff_M(f: Observable, g: Observable, b: int) -> GaussianObservable:
@@ -417,4 +418,5 @@ def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
     jobs = [(k, c.re_num, c.im_num, c.den,
              [_s_table(alpha[j], beta[j], rk, sign) for j in range(obs.dim)])
             for (k, alpha, beta), c in obs.body.terms.items()]
-    return GaussianObservable(_sum(obs.dim, "the symmetrization map", jobs, width), obs.rate)
+    return GaussianObservable._make(_sum(obs.dim, "the symmetrization map", jobs, width),
+                                    obs.rate)

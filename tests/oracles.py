@@ -24,11 +24,12 @@ derivation, so agreement is evidence rather than tautology:
   and application by differentiating the argument term by term.  They
   see operators only through the public constructor and ``sorted_terms``.
 * ``reference_poly_mul``, ``reference_substitute_momenta``,
-  ``reference_phase_star`` and ``reference_omega0`` are the ring routes
-  that summing over one common denominator replaced: one ``Scalar``
-  product and sum per pair of terms, (p_k + u_k)^e as repeated products,
-  the phase star as a running sum of ``PhaseSymbol``s, and the state
-  as a sum of ``Fraction`` moments.
+  ``reference_phase_star``, ``reference_source_apply`` and
+  ``reference_omega0`` are the ring routes that summing over one common
+  denominator replaced: one ``Scalar`` product and sum per pair of terms,
+  (p_k + u_k)^e as repeated products, the phase star and the odd-order
+  tail R of the flow as running sums, and the state as a sum of
+  ``Fraction`` moments.
 * ``exact_poly_at`` evaluates a real q-polynomial at a float point in
   exact rational arithmetic, the reference for the grid tier's
   floating-point evaluator.
@@ -345,6 +346,20 @@ def reference_phase_star(f, g) -> PhaseSymbol:
             for t2, a2 in right.terms.items():
                 amp = reference_poly_mul(a1, a2).scale(coeff).mul_lambda(b)
                 out = out + PhaseSymbol(fs.s, {t1 + t2: amp})
+    return out
+
+
+def reference_source_apply(f: GaussianObservable, s: ActionData) -> GaussianObservable:
+    """The odd-order tail R of the flow as a running sum: each Leibniz term
+    of order b >= 3 odd is a product, scaled by i^(b+1) / (2^(b-1) a!) and
+    lambda^(b-1), and added to the total."""
+    out = GaussianObservable.zero(f.dim)
+    slots = [(j, False) for j in range(f.dim)]
+    for a, ds, df, w in _leibniz_terms(s.action, f, slots):
+        b = sum(a)
+        if b >= 3 and b % 2:
+            coeff = i_power(b + 1) * Fraction(1, 2 ** (b - 1) * w)
+            out = out + (GaussianObservable(ds) * df).scale(coeff).mul_lambda(b - 1)
     return out
 
 

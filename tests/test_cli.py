@@ -287,6 +287,27 @@ def test_negative_envelope_exits_3(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("star", "q", "p", "--envelope", "1e30000000", "--json"),
+    ("evolve", "p^3", "--t=-2.5E-30000000", "--action", "q^3", "--json"),
+    ("phase-conj", "p^2", "--t", "1e30000000", "--action", "q^3", "--json"),
+    ("wkb", "hierarchy", "--ham", "p^2", "--action", "q^2", "--energy", "1e30000000",
+     "--order", "1", "--json")])
+def test_huge_exponent_exits_2_fast(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ObservableSyntaxError"
+
+
+def test_envelope_in_exponent_notation(capsys):
+    spelled = run(capsys, "star", "q", "p", "--envelope", "1" + "0" * 999, "--json")
+    assert spelled[0] == 0
+    assert run(capsys, "star", "q", "p", "--envelope", "1e999", "--json") == spelled
+
+
 def test_omega0_and_inner0_values(capsys):
     code, out, _ = run(capsys, "omega0", "1", "--envelope", "1", "--json")
     assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starquant import (ActionData, GaussianObservable, IntegralValue,
                        LaurentSeries, PhasePolynomial, Scalar, SchrodingerOperator,
@@ -12,8 +13,10 @@ from starquant import (ActionData, GaussianObservable, IntegralValue,
                        gelfand_member0, gelfand_member1, inner0, omega0, omega1,
                        pi0, pi1, star, star_commutator, t_operator_apply)
 
-from conftest import polynomials
-from oracles import picard_evolve
+from starquant.evolution import _source_apply
+
+from conftest import base_polynomials, polynomials, real_scalars
+from oracles import picard_evolve, reference_source_apply
 from test_star import random_polynomial
 
 Q = PhasePolynomial.coordinate_q(0, 1)
@@ -113,6 +116,33 @@ def test_evolution_matches_picard_oracle_at_high_orders():
     for s in (ACTIONS_1D[2], ActionData(Q ** 5 - Q ** 4 * Fraction(1, 3))):
         for f in (obs(P ** 5 + Q * P ** 4), GaussianObservable(Q * Q * P ** 6, 1)):
             assert evolve(f, Fraction(-1, 2), s) == picard_evolve(f, Fraction(-1, 2), s)
+
+
+@st.composite
+def source_cases(draw):
+    """(f, s) in dims 1-2: an action of degree 3 or 4 and an observable of
+    p-degree at least 3, so that the tail R reaches orders 3 and 5."""
+    dim = draw(st.integers(1, 2))
+    top = draw(st.sampled_from((3, 4)))
+    lead = PhasePolynomial.monomial(dim, 0, (top,) + (0,) * (dim - 1), (0,) * dim)
+    rest = draw(base_polynomials(dim, max_terms=2, max_degree=top, coeffs=real_scalars))
+    f = draw(polynomials(dim, max_terms=3, max_degree=4, min_lambda=0, max_lambda=1))
+    momenta = PhasePolynomial.monomial(dim, 0, (0,) * dim, (3,) + (0,) * (dim - 1))
+    rate = draw(st.sampled_from((0, Fraction(1, 3), 1)))
+    return GaussianObservable(f + momenta, rate), ActionData(lead + rest)
+
+
+@given(source_cases())
+@settings(max_examples=60)
+def test_source_apply_matches_the_running_sum(case):
+    f, s = case
+    assert _source_apply(f, s) == reference_source_apply(f, s)
+
+
+def test_source_apply_is_nonzero_at_order_three():
+    # R p^3 = i^4 / (2^2 3!) lambda^2 (d^3 q^3)(d_p^3 p^3) = 3/2 lambda^2
+    assert _source_apply(obs(P ** 3), S_CUBE) == obs(PhasePolynomial.lam(1, 2, Fraction(3, 2)))
+    assert reference_source_apply(obs(P ** 3), S_CUBE) == _source_apply(obs(P ** 3), S_CUBE)
 
 
 def test_t_polynomial_sums_to_evolve():

@@ -258,11 +258,11 @@ def test_operator_constructor_checks():
 RATES = st.sampled_from((0, 1, 2))
 
 
-def operators(dim: int):
+def operators(dim: int, rates=RATES):
     key = st.tuples(st.integers(-1, 1), st.tuples(*([st.integers(0, 2)] * dim)))
     terms = st.dictionaries(key, base_polynomials(dim, max_terms=2, max_degree=2),
                             max_size=3)
-    return st.builds(SchrodingerOperator, st.just(dim), terms, RATES)
+    return st.builds(SchrodingerOperator, st.just(dim), terms, rates)
 
 
 @given(st.data())
@@ -285,6 +285,18 @@ def test_op_compose_matches_leibniz_reference(data):
     vector = GaussianObservable(phi, data.draw(st.sampled_from((1, 2))))
     assert op_apply_base(composed, vector) == reference_op_apply_base(composed, vector)
     assert op_apply_base(composed, vector) == op_apply_base(a, op_apply_base(b, vector))
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_op_compose_of_enveloped_symbols_matches_leibniz_reference(data):
+    # the reference adds the rates of its operands on its own
+    dim = data.draw(st.sampled_from((1, 2)))
+    enveloped = operators(dim, st.sampled_from((Fraction(1, 3), 1)))
+    a, b = data.draw(enveloped), data.draw(enveloped)
+    composed = op_compose(a, b)
+    assert composed == reference_op_compose(a, b)
+    assert composed.rate == (0 if composed.is_zero() else a.rate + b.rate)
 
 
 def test_oracle_rejects_long_words():

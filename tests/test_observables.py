@@ -3,11 +3,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starquant import (DimensionMismatch, EnvelopeMismatch, GaussianObservable,
-                       PhasePolynomial, Scalar, conjugate, differentiate,
+from starquant import (ActionData, DimensionMismatch, EnvelopeMismatch, GaussianObservable,
+                       PhasePolynomial, Scalar, conjugate, differentiate, evolve,
                        restrict_zero_section, s_map, star, star_commutator,
                        substitute_momenta)
 
@@ -86,6 +86,16 @@ def test_restrict_and_conjugate():
     assert f.conjugate().conjugate() == f
 
 
+def test_gaussian_constructor_validates_the_rate():
+    for bad in (-1, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            GaussianObservable(Q, bad)
+    with pytest.raises(ValueError, match="nonnegative"):
+        GaussianObservable(PhasePolynomial.zero(1), -1)
+    assert GaussianObservable(PhasePolynomial.zero(1), 5).rate == 0
+    assert type(GaussianObservable(Q, 2).rate) is Fraction
+
+
 def test_envelope_rates_must_match_for_sums():
     a = GaussianObservable(Q, 1)
     b = GaussianObservable(P, 2)
@@ -154,6 +164,46 @@ def test_arithmetic_results_are_canonical(case):
         results += [f.diff_q(k), f.diff_p(k), F.diff_q(k)]
     for result in results:
         _assert_canonical(result)
+
+
+# -- trusted constructors: arithmetic results equal their checked rebuild --
+
+TRUSTED_RATES = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1)])
+_Q = [PhasePolynomial.coordinate_q(0, n) for n in (1, 2, 3)]
+ACTIONS = {1: ActionData(_Q[0] ** 3),
+           2: ActionData(_Q[1] ** 3 - PhasePolynomial.coordinate_q(1, 2) ** 2),
+           3: ActionData(_Q[2] * PhasePolynomial.coordinate_q(1, 3) ** 2
+                         + PhasePolynomial.coordinate_q(2, 3))}
+
+
+def _assert_trusted(r: GaussianObservable, rate: Fraction) -> None:
+    """r equals its rebuild by the public constructor, and its rate is a
+    Fraction that is ``rate`` when the body is nonzero and 0 when it is zero."""
+    assert GaussianObservable(r.body, r.rate) == r
+    assert type(r.rate) is Fraction
+    assert r.rate == (0 if r.body.is_zero() else rate)
+    _assert_canonical(r)
+
+
+@given(_operands(), TRUSTED_RATES, TRUSTED_RATES)
+@settings(max_examples=40)
+def test_trusted_results_equal_their_checked_rebuild(case, r, s):
+    f, g, shifts, _, _ = case
+    F, G, H = GaussianObservable(f, r), GaussianObservable(g, s), GaussianObservable(g, r)
+    p_cubed = PhasePolynomial.monomial(f.dim, 0, (0,) * f.dim, (3,) + (0,) * (f.dim - 1))
+    action, t = ACTIONS[f.dim], Fraction(-2, 3)
+    cases = [(F + H, r), (F - H, r), (F - F, r), (F + H - H, r), (-F, r),
+             (F * G, r + s), ((F + H) * (F - H), 2 * r), (F * (G - G), r + s), (F * g, r),
+             (F.scale(Scalar(0, 1)), r), (F.scale(0), r), (F.mul_lambda(-1), r),
+             (F.conjugate(), r), (F.restrict_zero_section(), r),
+             (F.substitute_momenta(shifts), r), (star(F, G), r + s),
+             (star(F, G) - star(G, F), r + s), (star(F, F - F), r), (s_map(F), r),
+             (s_map(F, "backward"), r), (evolve(F, t, action), r),
+             (evolve(F * p_cubed, t, action), r), (evolve(F - F, t, action), r)]
+    for k in range(f.dim):
+        cases += [(F.diff_q(k), r), (F.diff_p(k), r), ((F - H).diff_q(k), r)]
+    for result, rate in cases:
+        _assert_trusted(result, rate)
 
 
 # -- the one-denominator ring against the term-by-term routes it replaced --

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,6 +144,21 @@ def test_parse_rational():
     for bad in ("1/0", "abc", "1.5.2"):
         with pytest.raises(ObservableSyntaxError):
             parse_rational(bad)
+
+
+def test_huge_exponents_are_refused_fast():
+    # Fraction would compute 10**30000000 (about a minute)
+    for text in ("1e30000000", "-2.5E-30000000", "1e0_000_000_000_000_000_000_030_000_000"):
+        t0 = time.perf_counter()
+        with pytest.raises(ObservableSyntaxError, match="exponent"):
+            parse_rational(text)
+        assert time.perf_counter() - t0 < 1
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e-{limit}") == Fraction(1, 10 ** limit)
+    with pytest.raises(ObservableSyntaxError, match="exponent"):
+        parse_rational(f"1e{limit + 1}")
+    assert parse_rational("2.5e-3") == Fraction(1, 400)
+    assert parse_rational(" 1e0005 ") == 100000
 
 
 def test_parse_complex_constant():

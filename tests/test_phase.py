@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starquant import (ActionData, GaussianObservable, PhasePolynomial,
+from starquant import (ActionData, DimensionMismatch, GaussianObservable, PhasePolynomial,
                        PhaseMismatch, PhaseSymbol, Scalar, conjugate_by_phase,
                        evolve, phase_star)
 
@@ -34,6 +34,13 @@ def test_phase_construction_and_tau_bookkeeping():
     gone = both + PhaseSymbol(S_QUAD, {Fraction(1): P.scale(-1)})
     assert gone.terms == {Fraction(0): Q}
     assert PhaseSymbol(S_QUAD).is_zero()
+
+
+def test_phase_constructor_checks_the_amplitude_dimension():
+    with pytest.raises(DimensionMismatch):
+        PhaseSymbol(S_QUAD, {Fraction(1): PhasePolynomial.one(2)})
+    with pytest.raises(DimensionMismatch):
+        PhaseSymbol(S_QUAD, {Fraction(1): Q, 0: PhasePolynomial.zero(2)})
 
 
 def test_pointwise_mul_adds_phases():
@@ -193,6 +200,35 @@ def test_phase_star_matches_the_running_sum(pair, t):
     dressed = phase_star(left, f)
     assert dressed == reference_phase_star(left, f)
     assert phase_star(dressed, right) == reference_phase_star(dressed, right)
+
+
+def _assert_trusted(r: PhaseSymbol) -> None:
+    """r equals its rebuild by the public constructor, and its terms meet
+    the trusted constructor's precondition."""
+    assert PhaseSymbol(r.s, r.terms) == r
+    for tau, amp in r.terms.items():
+        assert type(tau) is Fraction and not amp.is_zero() and amp.dim == r.dim
+
+
+@given(phase_pairs(), PHASES)
+@settings(max_examples=40)
+def test_phase_results_equal_their_checked_rebuild(pair, t):
+    f, g = pair
+    s, one = f.s, PhasePolynomial.one(f.dim)
+    left, right = PhaseSymbol.pure_phase(s, t), PhaseSymbol.pure_phase(s, -t)
+    # (e^{iS/2} + e^{-iS/2}) (e^{iS/2} - e^{-iS/2}): the tau = 0 products cancel
+    plus = PhaseSymbol(s, {Fraction(1, 2): one, Fraction(-1, 2): one})
+    minus = PhaseSymbol(s, {Fraction(1, 2): one, Fraction(-1, 2): one.scale(-1)})
+    # the tau = 0 amplitude 1 differentiates to zero
+    bare = PhaseSymbol(s, {0: one, t: one})
+    results = [phase_star(f, g), phase_star(phase_star(left, f), right),
+               phase_star(plus, minus), plus.pointwise_mul(minus), f.pointwise_mul(g),
+               f.scale(0), f.scale(I), f.mul_lambda(-1)]
+    for k in range(f.dim):
+        results += [f.diff_q(k), f.diff_p(k), bare.diff_q(k), bare.diff_p(k)]
+    assert phase_star(plus, minus).terms.keys() == {1, -1}
+    for r in results:
+        _assert_trusted(r)
 
 
 def test_phase_route_and_evolution_never_call_the_star_kernel(monkeypatch):
