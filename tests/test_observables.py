@@ -169,11 +169,9 @@ def test_arithmetic_results_are_canonical(case):
 # -- trusted constructors: arithmetic results equal their checked rebuild --
 
 TRUSTED_RATES = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1)])
-_Q = [PhasePolynomial.coordinate_q(0, n) for n in (1, 2, 3)]
-ACTIONS = {1: ActionData(_Q[0] ** 3),
-           2: ActionData(_Q[1] ** 3 - PhasePolynomial.coordinate_q(1, 2) ** 2),
-           3: ActionData(_Q[2] * PhasePolynomial.coordinate_q(1, 3) ** 2
-                         + PhasePolynomial.coordinate_q(2, 3))}
+_q = PhasePolynomial.coordinate_q
+ACTIONS = {1: ActionData(_q(0, 1) ** 3), 2: ActionData(_q(0, 2) ** 3 - _q(1, 2) ** 2),
+           3: ActionData(_q(0, 3) * _q(1, 3) ** 2 + _q(2, 3))}
 
 
 def _assert_trusted(r: GaussianObservable, rate: Fraction) -> None:
