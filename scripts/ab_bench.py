@@ -21,7 +21,8 @@ metric's bound in the change's ``BENCHMARK.json``: the layout of the
 its median beats the parent's by more than the parent's Q3 - Q1, and
 ``unresolved`` when that parent IQR is wider than the metric's bound (a
 fraction of the parent's median), so the runs spread too widely to
-judge the bound.  The script reads ``bench/`` and changes
+judge the bound, unless every run of the change reads better than every
+run of the parent.  The script reads ``bench/`` and changes
 nothing in either checkout but what a benchmark run writes there.
 """
 
@@ -73,12 +74,13 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    apart = all(sign * (c - p) > 0 for p in parent for c in change)
     return {"parent": summary(parent), "change": summary(change),
             "ratio_change_over_parent": round(c_med / p_med, 4) if p_med else None,
             "change_better_pairs": wins,
             "within_bound": sign * (c_med - p_med) >= -bound * abs(p_med),
             "gain_shown": 10 * wins >= 9 * len(parent) and sign * (c_med - p_med) > q3 - q1,
-            "unresolved": q3 - q1 > bound * abs(p_med)}
+            "unresolved": q3 - q1 > bound * abs(p_med) and not apart}
 
 
 def main() -> int:
@@ -132,7 +134,8 @@ def main() -> int:
                   "change_better_pairs counts pairs where the change read better (ties "
                   "count for neither); gain_shown: at least 9/10 pairs better and the "
                   "median gap above the parent's Q3 - Q1; unresolved: the parent's Q3 - Q1 "
-                  "above bound * |parent median|",
+                  "above bound * |parent median|, unless every change run reads better "
+                  "than every parent run",
         "parent_commit": commits["parent"][:7], "change_commit": commits["change"][:7],
         "end_to_end": report}, indent=1))
     return 0

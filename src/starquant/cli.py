@@ -46,6 +46,12 @@ MAX_SAMPLES = 2 ** 20
 # 3.11); the output would otherwise grow as order^2 through the
 # order-dependent pad.
 MAX_GRID_VALUES = 2 ** 21
+# Largest --dim of a command that parses operands.  Each dimension prices
+# at least 4405 table units, so past 56753 every star product is refused,
+# and the kernel builds each combined key one dimension at a time, a cost
+# quadratic in dim that no budget counts: dim 30000 ran 9.9 s for q1 * p1.
+# No test, corpus entry or benchmark op parses above dim 8.
+MAX_DIM = 64
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse with JSON usage errors, matching the error contract."""
@@ -86,14 +92,20 @@ def _rate(args) -> Fraction:
     return rate
 
 
-def _obs(args, text: str) -> GaussianObservable:
+def _dim(args) -> int:
     if args.dim < 1:
         raise ValueError("dimension must be at least 1")
-    return parse_observable(text, args.dim, _rate(args))
+    if args.dim > MAX_DIM:
+        raise BudgetExceeded(f"dimension {args.dim} exceeds the limit of {MAX_DIM}")
+    return args.dim
+
+
+def _obs(args, text: str) -> GaussianObservable:
+    return parse_observable(text, _dim(args), _rate(args))
 
 
 def _poly(args, text: str) -> PhasePolynomial:
-    return parse_observable(text, args.dim, 0).body
+    return parse_observable(text, _dim(args), 0).body
 
 
 def _action(args) -> ActionData:

@@ -84,7 +84,8 @@ def fiber_flow(f: Observable, t: Rat, s: ActionData) -> GaussianObservable:
 
 def _fiber_apply(f: GaussianObservable, s: ActionData) -> GaussianObservable:
     """One application of the classical fiber transport L0 to f."""
-    jobs = [(0, -1, 0, 1, f.body.diff_p(k), grad) for k, grad in enumerate(s.gradient)]
+    jobs = [(0, -1, 0, 1, f.body.diff_p(k)._numerators(), grad._numerators())
+            for k, grad in enumerate(s.gradient)]
     return GaussianObservable._make(_sum_of_products(f.dim, jobs), f.rate)
 
 
@@ -100,7 +101,8 @@ def _source_apply(f: GaussianObservable, s: ActionData) -> GaussianObservable:
     for a, ds, df, w in _leibniz_terms(s.action, f, [(j, False) for j in range(f.dim)]):
         b = sum(a)
         if b >= 3 and b % 2:  # i^(b+1) / (2^(b-1) a!) lambda^(b-1); i^(b+1) = b % 4 - 2
-            jobs.append((b - 1, b % 4 - 2, 0, w << (b - 1), ds, df.body))
+            jobs.append((b - 1, b % 4 - 2, 0, w << (b - 1), ds._numerators(),
+                         df.body._numerators()))
     return GaussianObservable._make(_sum_of_products(f.dim, jobs), f.rate)
 
 

@@ -296,7 +296,7 @@ def op_compose(a: SchrodingerOperator, b: SchrodingerOperator) -> SchrodingerOpe
     envelope of sigma_b, and envelope rates add.
     """
     a._check(b)
-    jobs = [(0, 1, 0, w, da.body, db.body) for _, da, db, w in
+    jobs = [(0, 1, 0, w, da.body._numerators(), db.body._numerators()) for _, da, db, w in
             _leibniz_terms(a.symbol, b.symbol, [(j, True) for j in range(a.dim)])]
     return SchrodingerOperator._of(GaussianObservable._make(
         _sum_of_products(a.dim, jobs), a.rate + b.rate))

@@ -16,13 +16,18 @@ The exact tier works with two closed classes of functions of
   momentum substitutions used by fiber flows; sums require matching
   rates because a sum of distinct envelopes is not representable.
 
-Sums of products go over one denominator.  The product, the momentum
-substitution, ``_sum_of_products`` (operator composition, the odd-order
-tail of the flow) and outside this module the star kernel, the phase star
-and the flat state, put their inputs over a common denominator, add plain
-integer numerators per output term and reduce each output coefficient
-once (``PhasePolynomial._from_numerators``), never one ``Scalar`` at a
-time.
+Sums of products go over one denominator, in one routine.
+``_sum_of_products`` puts the factors of its jobs over the lcm of their
+denominators, adds plain integer numerators per output term
+(``_products``) and reduces each output coefficient once
+(``PhasePolynomial._from_numerators``), never one ``Scalar`` at a time.
+The product, the momentum substitution, operator composition, the
+odd-order tail of the flow, the phase derivative and the phase star all
+call it.  Two sums keep their own pass: the star kernel's ``star._sum``
+rotates by i^n, filters by order, prices entries against the byte budget
+and pauses the collector, so sharing would make the routine branch on its
+caller; the flat state ``gns.omega0`` weighs scalar moments and forms no
+products.
 
 Public constructors validate; arithmetic results skip the checks.
 ``PhasePolynomial(...)``, ``GaussianObservable(...)`` and ``PhaseSymbol(...)``
@@ -93,36 +98,33 @@ def _leibniz_terms(left, right, slots: Sequence[tuple[int, bool]]) -> list:
     return parts
 
 
-def _mul_into(acc: dict, left: list, right: list) -> None:
-    """Add the product of two numerator lists [(key, re, im)] into acc, a
-    {key: [re, im]} of numerators over the product of their denominators."""
-    for (k1, a1, b1), r1, i1 in left:
-        for (k2, a2, b2), r2, i2 in right:
-            key = (k1 + k2, tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
-            slot = acc.get(key)
-            if slot is None:
-                acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
-            else:
-                slot[0] += r1 * r2 - i1 * i2
-                slot[1] += r1 * i2 + i1 * r2
+def _products(jobs: Sequence[tuple]) -> tuple[int, dict]:
+    """(L, acc): the sum over jobs (k, re, im, den, a, b) of
+    lambda^k (re + i*im)/den times the product of a and b, two
+    ``_numerators()`` pairs, as integer numerators acc[key] = [re, im]
+    over their lcm L, unreduced."""
+    jobs = [(k, re, im, den * a[0] * b[0], a[1], b[1]) for k, re, im, den, a, b in jobs]
+    common = lcm(*(job[3] for job in jobs))
+    acc: dict = {}
+    for k, re, im, den, na, nb in jobs:
+        t = common // den
+        re, im = re * t, im * t
+        for (k1, a1, b1), u, v in na:
+            k1, r1, i1 = k1 + k, re * u - im * v, re * v + im * u
+            for (k2, a2, b2), r2, i2 in nb:
+                key = (k1 + k2, tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
+                slot = acc.get(key)
+                if slot is None:
+                    acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+                else:
+                    slot[0] += r1 * r2 - i1 * i2
+                    slot[1] += r1 * i2 + i1 * r2
+    return common, acc
 
 
 def _sum_of_products(dim: int, jobs: Sequence[tuple]) -> "PhasePolynomial":
-    """The sum over jobs (k, re, im, den, a, b) of lambda^k (re + i*im)/den
-    times the product a * b of two PhasePolynomials, over one common
-    denominator."""
-    parts, common = [], 1
-    for k, re, im, den, a, b in jobs:
-        (da, na), (db, nb) = a._numerators(), b._numerators()
-        den *= da * db
-        common = lcm(common, den)
-        parts.append((k, re, im, den, na, nb))
-    acc: dict = {}
-    for k, re, im, den, na, nb in parts:
-        t = common // den
-        re, im = re * t, im * t
-        _mul_into(acc, [((kk + k, alpha, beta), re * u - im * v, re * v + im * u)
-                        for (kk, alpha, beta), u, v in na], nb)
+    """``_products`` with each output coefficient reduced once."""
+    common, acc = _products(jobs)
     return PhasePolynomial._from_numerators(dim, acc, common)
 
 
@@ -308,7 +310,8 @@ class PhasePolynomial:
     def __mul__(self, other: "PhasePolynomial | Scalar | Rat") -> "PhasePolynomial":
         if isinstance(other, PhasePolynomial):
             self._check_dim(other)
-            return _sum_of_products(self.dim, ((0, 1, 0, 1, self, other),))
+            return _sum_of_products(
+                self.dim, ((0, 1, 0, 1, self._numerators(), other._numerators()),))
         return self.scale(other)
 
     def __rmul__(self, other: "Scalar | Rat") -> "PhasePolynomial":
@@ -379,44 +382,35 @@ class PhasePolynomial:
             self._check_dim(u)
             if not u.is_base_only():
                 raise ValueError("momentum substitution requires base-only shifts")
-        # (p_k + u_k)^e = sum_m C(e, m) p_k^(e-m) u_k^m, over the products
-        # u^m = prod_k u_k^(m_k), each formed once a call as (den, numerators)
+        # (p_k + u_k)^e = sum_m C(e, m) p_k^(e-m) u_k^m: the terms go into one
+        # job per multi-index m against u^m = prod_k u_k^(m_k), whose powers
+        # are cached a call as unreduced (den, numerators)
         dim = self.dim
         one = (1, [((0, (0,) * dim, (0,) * dim), 1, 0)])
         nums = [u._numerators() for u in shifts]
         powers = [[one] for _ in range(dim)]
-        bases: dict[tuple[int, ...], tuple[int, list]] = {}
 
         def times(x: tuple[int, list], y: tuple[int, list]) -> tuple[int, list]:
-            acc: dict = {}
-            _mul_into(acc, x[1], y[1])
-            return x[0] * y[0], [(key, re, im) for key, (re, im) in acc.items() if re or im]
+            den, acc = _products(((0, 1, 0, 1, x, y),))
+            return den, [(key, re, im) for key, (re, im) in acc.items() if re or im]
 
-        def base(ms: tuple[int, ...]) -> tuple[int, list]:
-            if ms not in bases:
-                um = one
-                for pw, u, m in zip(powers, nums, ms):
-                    while len(pw) <= m:
-                        pw.append(times(pw[-1], u))
-                    if m:
-                        um = times(um, pw[m])
-                bases[ms] = um
-            return bases[ms]
-
-        jobs, common = [], 1
-        for (k, alpha, beta), c in self.terms.items():
+        den, terms = self._numerators()
+        groups: dict[tuple[int, ...], list] = {}
+        for (k, alpha, beta), re, im in terms:
             for ms in product(*(range(e + 1) if u else (0,) for e, u in zip(beta, shifts))):
                 w = prod(map(comb, beta, ms))
-                den, terms = base(ms)
-                den *= c.den
-                common = lcm(common, den)
-                jobs.append(((k, alpha, tuple(map(sub, beta, ms))), c.re_num * w,
-                             c.im_num * w, den, terms))
-        acc: dict = {}
-        for key, re, im, den, terms in jobs:
-            t = common // den
-            _mul_into(acc, [(key, re * t, im * t)], terms)
-        return PhasePolynomial._from_numerators(dim, acc, common)
+                groups.setdefault(ms, []).append(
+                    ((k, alpha, tuple(map(sub, beta, ms))), re * w, im * w))
+        jobs = []
+        for ms, group in groups.items():
+            um = one
+            for pw, u, m in zip(powers, nums, ms):
+                while len(pw) <= m:
+                    pw.append(times(pw[-1], u))
+                if m:
+                    um = times(um, pw[m])
+            jobs.append((0, 1, 0, 1, (den, group), um))
+        return _sum_of_products(dim, jobs)
 
     # -- ordering, equality, display ----------------------------------
 

@@ -25,12 +25,11 @@ agreement is a sharp cross-check of both.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, PhaseMismatch
 from .evolution import ActionData
-from .observables import (GaussianObservable, PhasePolynomial, _leibniz_terms, _mul_into,
+from .observables import (GaussianObservable, PhasePolynomial, _leibniz_terms,
                           _sum_of_products)
 from .scalars import Rat, Scalar, i_power
 
@@ -105,20 +104,15 @@ class PhaseSymbol:
 
     def pointwise_mul(self, other: "PhaseSymbol") -> "PhaseSymbol":
         self._check(other)
-        jobs: dict[Fraction, list] = {}
-        for t1, a1 in self.terms.items():
-            for t2, a2 in other.terms.items():
-                jobs.setdefault(t1 + t2, []).append((0, 1, 0, 1, a1, a2))
-        return PhaseSymbol._from_clean(
-            self.s, {tau: _sum_of_products(self.dim, js) for tau, js in jobs.items()})
+        return _per_phase(self.s, ((0, 1, 0, 1, self, other),))
 
     def diff_q(self, index: int) -> "PhaseSymbol":
         grad, out = self.s.gradient[index], {}
         for tau, amp in self.terms.items():
             d = amp.diff_q(index)
             if tau:  # plus i tau lambda^-1 (d_k S) amp from the phase factor
-                d = d + _sum_of_products(
-                    self.dim, ((-1, 0, tau.numerator, tau.denominator, amp, grad),))
+                d = d + _sum_of_products(self.dim, ((-1, 0, tau.numerator, tau.denominator,
+                                                     amp._numerators(), grad._numerators()),))
             out[tau] = d
         return PhaseSymbol._from_clean(self.s, out)
 
@@ -167,6 +161,21 @@ def _as_symbol(x: "PhaseSymbol | PhasePolynomial | GaussianObservable",
     return PhaseSymbol.from_polynomial(s, x)
 
 
+def _per_phase(s: ActionData, pairs: Iterable[tuple]) -> PhaseSymbol:
+    """The sum over pairs (k, re, im, den, f, g) of lambda^k (re + i*im)/den
+    times the amplitude products of the symbols f and g, one
+    ``_sum_of_products`` per phase t1 + t2."""
+    jobs: dict[Fraction, list] = {}
+    for k, re, im, den, f, g in pairs:
+        rights = [(t2, a2._numerators()) for t2, a2 in g.terms.items()]
+        for t1, a1 in f.terms.items():
+            n1 = a1._numerators()
+            for t2, n2 in rights:
+                jobs.setdefault(t1 + t2, []).append((k, re, im, den, n1, n2))
+    return PhaseSymbol._from_clean(
+        s, {tau: _sum_of_products(s.dim, js) for tau, js in jobs.items()})
+
+
 def phase_star(f: "PhaseSymbol | PhasePolynomial | GaussianObservable",
                g: "PhaseSymbol | PhasePolynomial | GaussianObservable") -> PhaseSymbol:
     """Weyl star product extended to oscillatory symbols.
@@ -182,29 +191,14 @@ def phase_star(f: "PhaseSymbol | PhasePolynomial | GaussianObservable",
     fs._check(gs)
     n = fs.dim
     # delta = (a, c) pairs d_q^a d_p^c f with d_p^a d_q^c g, weighted
-    # (i lambda/2)^b (-1)^|c| / (a! c!) with b = |a| + |c|; every amplitude
-    # product is summed per phase over one common denominator
+    # (i lambda/2)^b (-1)^|c| / (a! c!) with b = |a| + |c|
     slots = [(j, False) for j in range(n)] + [(j, True) for j in range(n)]
-    jobs, common = [], 1
+    pairs = []
     for delta, left, right, w in _leibniz_terms(fs, gs, slots):
         b = sum(delta)
         rot, sign = i_power(b), (-1) ** sum(delta[n:])
-        re, im = sign * rot.re_num, sign * rot.im_num
-        rights = [(t2, *a2._numerators()) for t2, a2 in right.terms.items()]
-        for t1, a1 in left.terms.items():
-            d1, n1 = a1._numerators()
-            n1 = [((k + b, alpha, beta), re * u - im * v, re * v + im * u)
-                  for (k, alpha, beta), u, v in n1]
-            for t2, d2, n2 in rights:
-                den = d1 * d2 * w << b
-                common = lcm(common, den)
-                jobs.append((t1 + t2, den, n1, n2))
-    acc: dict[Fraction, dict] = {}
-    for tau, den, n1, n2 in jobs:
-        t = common // den
-        _mul_into(acc.setdefault(tau, {}), [(key, u * t, v * t) for key, u, v in n1], n2)
-    return PhaseSymbol._from_clean(fs.s, {tau: PhasePolynomial._from_numerators(n, nums, common)
-                                       for tau, nums in acc.items()})
+        pairs.append((b, sign * rot.re_num, sign * rot.im_num, w << b, left, right))
+    return _per_phase(fs.s, pairs)
 
 
 def conjugate_by_phase(h: "PhasePolynomial | GaussianObservable", s: ActionData,

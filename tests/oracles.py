@@ -30,6 +30,11 @@ derivation, so agreement is evidence rather than tautology:
   (p_k + u_k)^e as repeated products, the phase star and the odd-order
   tail R of the flow as running sums, and the state as a sum of
   ``Fraction`` moments.
+* ``exact_transport`` solves the transport recursion of the grid tier in
+  closed form for S' = q^m, as finite sums of rational powers of q with
+  ``Fraction`` coefficients: the reference for every order of
+  ``solve_transport_1d``, which the grid tier otherwise checks only
+  through order 1.
 * ``exact_poly_at`` evaluates a real q-polynomial at a float point in
   exact rational arithmetic, the reference for the grid tier's
   floating-point evaluator.
@@ -391,6 +396,31 @@ def reference_omega0(f) -> IntegralValue:
         if moment:
             series[k] = series.get(k, ZERO) + c * moment
     return IntegralValue(LaurentSeries(series), base.rate, n)
+
+
+def exact_transport(m: int, order: int) -> list[dict[Fraction, Fraction]]:
+    """phi_0 .. phi_order for S' = q^m (m >= 1) and phi_0(1) = 1, phi_r(1) = 0.
+
+    Entry r is {e: c} with phi_r = i^r sum_e c q^e.  Each order follows
+    from the last by the recursion
+
+        phi_r = q^(-m/2) (i/2) Integral_1^q s^(-m/2) phi_(r-1)''(s) ds,
+
+    term by term: c q^e gives c e (e-1) / (2 f) (q^(f - m/2) - q^(-m/2))
+    with f = e - 1 - m/2.  Every exponent is -m/2 - j (m+1), so f < 0 and
+    no power integrates to a log.
+    """
+    half = Fraction(m, 2)
+    orders = [{-half: Fraction(1)}]
+    for _ in range(order):
+        nxt: dict[Fraction, Fraction] = {}
+        for e, c in orders[-1].items():
+            f = e - 1 - half
+            w = c * e * (e - 1) / (2 * f)
+            for power, sign in ((f - half, 1), (-half, -1)):
+                nxt[power] = nxt.get(power, 0) + sign * w
+        orders.append({e: c for e, c in nxt.items() if c})
+    return orders
 
 
 def exact_poly_at(poly: PhasePolynomial, x: float) -> Fraction:

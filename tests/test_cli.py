@@ -161,6 +161,26 @@ def test_table_work_budget_exits_3_fast(capsys, argv):
     assert_one_error_line(code, out, err, "BudgetExceeded")
 
 
+@pytest.mark.parametrize("dim", [3000000, cli.MAX_DIM + 1])
+def test_dimension_past_the_limit_exits_3_fast(capsys, dim):
+    # refused before any operand is parsed; combining the kernel's keys
+    # costs time quadratic in dim, which no budget counts
+    start = time.perf_counter()
+    code, out, err = run(capsys, "star", "q1", "p1", "--dim", str(dim), "--json")
+    assert time.perf_counter() - start < 1.0
+    assert_one_error_line(code, out, err, "BudgetExceeded")
+    # the same limit holds for a command that parses only polynomials
+    code, out, err = run(capsys, "phase-conj", "q1", "--t", "1", "--action", "q1",
+                         "--dim", str(dim))
+    assert_one_error_line(code, out, err, "BudgetExceeded")
+
+
+def test_dimension_at_the_limit_runs(capsys):
+    code, out, err = run(capsys, "star", "q1", "p1", "--dim", str(cli.MAX_DIM), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["dim"] == cli.MAX_DIM == 64
+
+
 def test_pi0_of_a_huge_momentum_power_is_fast(capsys):
     # s_map visits only the derivative orders that can be nonzero: one here
     start = time.perf_counter()

@@ -11,6 +11,8 @@ from starquant import (ActionData, DimensionMismatch, EnvelopeMismatch, Gaussian
                        restrict_zero_section, s_map, star, star_commutator,
                        substitute_momenta)
 
+from starquant.observables import _sum_of_products
+
 from conftest import base_polynomials, observables, polynomials
 from oracles import reference_poly_mul, reference_substitute_momenta
 
@@ -241,3 +243,33 @@ def test_substitution_matches_repeated_products(case, rate):
                 == GaussianObservable(want, rate))
     momenta = PhasePolynomial.monomial(f.dim, 0, (0,) * f.dim, (1,) * f.dim)
     assert cancelled.substitute_momenta(shifts) == f.substitute_momenta(shifts) * momenta
+
+
+@st.composite
+def product_jobs(draw):
+    """(dim, jobs): jobs (k, re, im, den, a, b) of the one sum-of-products
+    routine with PhasePolynomial factors, over unrelated denominators."""
+    dim = draw(st.integers(1, 3))
+    poly = polynomials(dim, max_terms=3, max_degree=2, min_lambda=-1, max_lambda=1)
+    jobs = [(draw(st.integers(-1, 1)), draw(st.integers(-4, 4)), draw(st.integers(-4, 4)),
+             draw(st.sampled_from([1, 2, 3, 5, 12, 35])), draw(poly), draw(poly))
+            for _ in range(draw(st.integers(1, 4)))]
+    return dim, jobs
+
+
+@given(product_jobs())
+def test_sum_of_products_matches_the_scaled_reference_products(case):
+    dim, jobs = case
+    k, re, im, den, a, b = jobs[0]
+    # the same product with the opposite weight, factors swapped: it cancels jobs[0]
+    cancel = (k, -re, -im, den, b, a)
+    for chosen in (jobs, jobs + [cancel], [jobs[0], cancel]):
+        want = PhasePolynomial.zero(dim)
+        for k, re, im, den, a, b in chosen:
+            weight = Scalar(Fraction(re, den), Fraction(im, den))
+            want = want + reference_poly_mul(a, b).mul_lambda(k).scale(weight)
+        got = _sum_of_products(dim, [(k, re, im, den, a._numerators(), b._numerators())
+                                     for k, re, im, den, a, b in chosen])
+        assert got == want
+        assert PhasePolynomial(dim, got.terms) == got
+    assert got.is_zero() and not got.terms

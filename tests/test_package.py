@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -49,3 +50,32 @@ def test_convergence_study_script():
     # the first row has no predecessor; the solver is fourth order
     orders = [float(row[-1]) for row in rows[1:]]
     assert all(3.5 <= order <= 4.5 for order in orders), done.stdout
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_bench_compare_verdicts():
+    compare = load_script("ab_bench.py").compare
+    parent = [100.0, 80.0, 120.0, 90.0, 110.0, 70.0, 130.0, 95.0, 105.0, 100.0]
+    # the parent's Q3 - Q1 is 17.5, above a 0.1 bound of its median 100
+    tight = compare(parent, [p + 1 for p in parent], "higher", 0.1)
+    assert tight["unresolved"] and not tight["gain_shown"]
+    assert tight["change_better_pairs"] == 10 and tight["within_bound"]
+    # every change run above every parent run: resolved, and a gain
+    apart = compare(parent, [140.0 + i for i in range(10)], "higher", 0.1)
+    assert not apart["unresolved"] and apart["gain_shown"]
+    # the same series when lower is better: every change run is worse
+    worse = compare(parent, [140.0 + i for i in range(10)], "lower", 0.1)
+    assert worse["unresolved"] and not worse["within_bound"]
+    assert worse["change_better_pairs"] == 0
+    # a lower-is-better metric whose change runs all sit below the parent's
+    below = compare(parent, [60.0 - i for i in range(10)], "lower", 0.1)
+    assert not below["unresolved"] and below["gain_shown"]
+    # one change run tied with a parent run leaves the spread unresolved
+    touching = compare(parent, [130.0] + [140.0] * 9, "higher", 0.1)
+    assert touching["unresolved"]

@@ -13,7 +13,7 @@ from starquant import (ActionData, DimensionMismatch, GaussianObservable, PhaseP
                        evolve, phase_star)
 
 from conftest import base_polynomials, polynomials, real_scalars
-from oracles import picard_evolve, reference_phase_star, reference_star
+from oracles import picard_evolve, reference_phase_star, reference_poly_mul, reference_star
 from test_star import random_polynomial
 
 Q = PhasePolynomial.coordinate_q(0, 1)
@@ -200,6 +200,21 @@ def test_phase_star_matches_the_running_sum(pair, t):
     dressed = phase_star(left, f)
     assert dressed == reference_phase_star(left, f)
     assert phase_star(dressed, right) == reference_phase_star(dressed, right)
+
+
+@given(phase_pairs())
+@settings(max_examples=40)
+def test_pointwise_mul_matches_the_per_phase_products(pair):
+    f, g = pair
+    want: dict = {}
+    for t1, a1 in f.terms.items():
+        for t2, a2 in g.terms.items():
+            amp = reference_poly_mul(a1, a2)
+            want[t1 + t2] = want[t1 + t2] + amp if t1 + t2 in want else amp
+    assert f.pointwise_mul(g) == PhaseSymbol(f.s, want)
+    # (f + g)(f - g) = f^2 - g^2: the cross products cancel phase by phase
+    assert (f + g).pointwise_mul(f + g.scale(-1)) == (f.pointwise_mul(f)
+                                                       + g.pointwise_mul(g).scale(-1))
 
 
 def _assert_trusted(r: PhaseSymbol) -> None:

@@ -26,7 +26,7 @@ from starquant.wkb import (MAX_HIERARCHY_ORDER, _central_weights, _cumulative_si
                            _eval_base_poly, _not_a_knot_spline)
 
 from conftest import base_polynomials, real_scalars
-from oracles import exact_poly_at
+from oracles import exact_poly_at, exact_transport
 
 Q = PhasePolynomial.coordinate_q(0, 1)
 P = PhasePolynomial.coordinate_p(0, 1)
@@ -385,6 +385,54 @@ def solve_orders(sprime_fn, n, top):
     for _ in range(top):
         orders.append(solve_transport_1d(sp, orders[-1], 0.0))
     return sp, orders
+
+
+def transport_errors(m, n, top=3):
+    """Max interior error of orders 1..top against the exact recursion,
+    for S' = q^m on [1, 2] with the CLI's pad."""
+    _, orders = solve_orders(lambda q: q ** m, n, top)
+    exact = exact_transport(m, top)
+    q = np.linspace(1.0, 2.0, n)
+    return [np.max(np.abs(orders[r].interior() - 1j ** r * sum(
+        float(c) * q ** float(e) for e, c in exact[r].items()))) for r in range(1, top + 1)]
+
+
+def _diff(terms, times=1):
+    for _ in range(times):
+        terms = {e - 1: c * e for e, c in terms.items() if e}
+    return terms
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exact_transport_solves_the_recursion(m):
+    # 2 S' phi_r' + S'' phi_r = i phi_(r-1)'', phi_r(1) = 0, in Fractions
+    orders = exact_transport(m, 4)
+    assert orders[0] == {Fraction(-m, 2): 1}
+    for r in range(1, 5):
+        lhs: dict = {}
+        for e, c in _diff(orders[r]).items():
+            lhs[e + m] = lhs.get(e + m, 0) + 2 * c
+        for e, c in orders[r].items():
+            lhs[e + m - 1] = lhs.get(e + m - 1, 0) + m * c
+        # phi_r carries i^r and phi_(r-1) carries i^(r-1): the i cancels
+        assert {e: c for e, c in lhs.items() if c} == _diff(orders[r - 1], 2)
+        assert sum(orders[r].values()) == 0  # phi_r(1) = 0
+    assert exact_transport(1, 1)[1] == {Fraction(-1, 2): Fraction(3, 16),
+                                         Fraction(-5, 2): Fraction(-3, 16)}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_transport_orders_converge_at_their_rates(m):
+    # order 1 is Simpson-limited (h^4); orders 2 and 3 differentiate an
+    # approximate amplitude twice and lose h^2
+    errs = [transport_errors(m, n) for n in (65, 129, 257, 513, 1025)]
+    for coarse, fine in zip(errs[:3], errs[1:4]):
+        ratios = [c / f for c, f in zip(coarse, fine)]
+        assert 13 <= ratios[0] <= 18, errs
+        assert all(3.6 <= x <= 4.4 for x in ratios[1:]), errs
+    # from N = 1025 on roundoff, not h^4, bounds order 1
+    assert errs[3][0] / errs[4][0] < 13, errs
+    assert errs[3][1] / errs[4][1] >= 3.6, errs
 
 
 @pytest.mark.parametrize("sprime_fn, sprime, action", [
