@@ -46,11 +46,10 @@ MAX_SAMPLES = 2 ** 20
 # 3.11); the output would otherwise grow as order^2 through the
 # order-dependent pad.
 MAX_GRID_VALUES = 2 ** 21
-# Largest --dim of a command that parses operands.  Each dimension prices
-# at least 4405 table units, so past 56753 every star product is refused,
-# and the kernel builds each combined key one dimension at a time, a cost
-# quadratic in dim that no budget counts: dim 30000 ran 9.9 s for q1 * p1.
-# No test, corpus entry or benchmark op parses above dim 8.
+# Largest --dim of a command that parses operands: the kernel builds each
+# combined key one dimension at a time, a cost quadratic in dim that no
+# budget counts (q1 * p1 at dim 30000 runs for seconds).  No test, corpus
+# entry or benchmark op parses above dim 8.
 MAX_DIM = 64
 
 class _ArgumentParser(argparse.ArgumentParser):

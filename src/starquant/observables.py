@@ -102,16 +102,16 @@ def _products(jobs: Sequence[tuple]) -> tuple[int, dict]:
     """(L, acc): the sum over jobs (k, re, im, den, a, b) of
     lambda^k (re + i*im)/den times the product of a and b, two
     ``_numerators()`` pairs, as integer numerators acc[key] = [re, im]
-    over their lcm L, unreduced."""
-    jobs = [(k, re, im, den * a[0] * b[0], a[1], b[1]) for k, re, im, den, a, b in jobs]
+    over their lcm L, unreduced: (L, acc) is itself such a pair."""
+    jobs = [(k, re, im, den * da * db, na, nb) for k, re, im, den, (da, na), (db, nb) in jobs]
     common = lcm(*(job[3] for job in jobs))
     acc: dict = {}
     for k, re, im, den, na, nb in jobs:
         t = common // den
         re, im = re * t, im * t
-        for (k1, a1, b1), u, v in na:
+        for (k1, a1, b1), (u, v) in na.items():
             k1, r1, i1 = k1 + k, re * u - im * v, re * v + im * u
-            for (k2, a2, b2), r2, i2 in nb:
+            for (k2, a2, b2), (r2, i2) in nb.items():
                 key = (k1 + k2, tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
                 slot = acc.get(key)
                 if slot is None:
@@ -181,12 +181,12 @@ class PhasePolynomial:
         return PhasePolynomial._from_clean(
             dim, {key: raw(re, im, den) for key, (re, im) in acc.items() if re or im})
 
-    def _numerators(self) -> tuple[int, list]:
-        """(L, [(key, re, im)]): the terms as integer numerators over the
+    def _numerators(self) -> tuple[int, dict]:
+        """(L, {key: (re, im)}): the terms as integer numerators over the
         lcm L of their denominators."""
         den = lcm(*(c.den for c in self.terms.values()))
-        return den, [(key, c.re_num * (den // c.den), c.im_num * (den // c.den))
-                     for key, c in self.terms.items()]
+        return den, {key: (c.re_num * (den // c.den), c.im_num * (den // c.den))
+                     for key, c in self.terms.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -384,31 +384,25 @@ class PhasePolynomial:
                 raise ValueError("momentum substitution requires base-only shifts")
         # (p_k + u_k)^e = sum_m C(e, m) p_k^(e-m) u_k^m: the terms go into one
         # job per multi-index m against u^m = prod_k u_k^(m_k), whose powers
-        # are cached a call as unreduced (den, numerators)
+        # are cached a call as unreduced numerators
         dim = self.dim
-        one = (1, [((0, (0,) * dim, (0,) * dim), 1, 0)])
+        one = (1, {(0, (0,) * dim, (0,) * dim): (1, 0)})
         nums = [u._numerators() for u in shifts]
-        powers = [[one] for _ in range(dim)]
-
-        def times(x: tuple[int, list], y: tuple[int, list]) -> tuple[int, list]:
-            den, acc = _products(((0, 1, 0, 1, x, y),))
-            return den, [(key, re, im) for key, (re, im) in acc.items() if re or im]
-
+        powers = [[one, u] for u in nums]
         den, terms = self._numerators()
-        groups: dict[tuple[int, ...], list] = {}
-        for (k, alpha, beta), re, im in terms:
+        groups: dict[tuple[int, ...], dict] = {}
+        for (k, alpha, beta), (re, im) in terms.items():
             for ms in product(*(range(e + 1) if u else (0,) for e, u in zip(beta, shifts))):
                 w = prod(map(comb, beta, ms))
-                groups.setdefault(ms, []).append(
-                    ((k, alpha, tuple(map(sub, beta, ms))), re * w, im * w))
+                groups.setdefault(ms, {})[k, alpha, tuple(map(sub, beta, ms))] = re * w, im * w
         jobs = []
         for ms, group in groups.items():
             um = one
             for pw, u, m in zip(powers, nums, ms):
                 while len(pw) <= m:
-                    pw.append(times(pw[-1], u))
+                    pw.append(_products(((0, 1, 0, 1, pw[-1], u),)))
                 if m:
-                    um = times(um, pw[m])
+                    um = pw[m] if um is one else _products(((0, 1, 0, 1, um, pw[m]),))
             jobs.append((0, 1, 0, 1, (den, group), um))
         return _sum_of_products(dim, jobs)
 
