@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -73,17 +74,6 @@ def _label(text: str) -> str:
 # -- shared argument plumbing ------------------------------------------
 
 
-def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--dim", type=int, default=1, metavar="N",
-                        help="phase-space dimension n (default 1)")
-    parser.add_argument("--envelope", default="0", metavar="C",
-                        help="Gaussian envelope rate c in exp(-c|q|^2), rational")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", help="canonical JSON output")
-    mode.add_argument("--pretty", action="store_true",
-                      help="human-readable output (default)")
-
-
 def _rate(args) -> Fraction:
     rate = parse_rational(args.envelope)
     if rate < 0:
@@ -120,10 +110,10 @@ def _out(result) -> tuple[dict, str]:
     return render.operator_json(result), render.pretty_operator(result)
 
 
-def _shown(call, *operands: str, action: bool = False):
-    """A handler rendering call on the named operands, then on the action S."""
+def _shown(call, action: bool = False):
+    """A handler rendering call on the subcommand's operands, then on the action S."""
     def handler(args):
-        parsed = [_obs(args, getattr(args, name)) for name in operands]
+        parsed = [_obs(args, getattr(args, name)) for name in args.operands]
         return _out(call(*parsed, *([_action(args)] if action else [])))
     return handler
 
@@ -154,6 +144,9 @@ def _cmd_ideal0(args):
 
 
 def _cmd_weyl_check(args):
+    # the library sweeps no monomial below degree 0 and reports all equal
+    if args.max_degree < 0:
+        raise ValueError("degree must be nonnegative")
     checked, mismatches = weyl_check(args.dim, args.max_degree)
     payload = {"dim": args.dim, "max_degree": args.max_degree, "checked": checked,
                "mismatches": [{"q": list(alpha), "p": list(beta)}
@@ -242,8 +235,13 @@ def _cmd_wkb_solve1d(args):
             sprime = GridFunction1D.from_callable(
                 lambda x: _eval_base_poly(poly, x).real, a, b, n, pad)
     else:
-        data = np.loadtxt(args.sprime_file, dtype=float)
-        if data.ndim != 2 or data.shape[1] != 2:
+        with warnings.catch_warnings():
+            # numpy warns on a file without rows; the error below says so on one line
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(args.sprime_file, dtype=float, ndmin=2)
+        if data.size == 0:
+            raise ValueError("S' file holds no samples")
+        if data.shape[1] != 2:
             raise ValueError("S' file must have two columns: q and S'(q)")
         sprime = GridFunction1D.from_samples(data[:, 0], data[:, 1], a, b, n, pad)
     try:
@@ -288,66 +286,61 @@ def _build_parser() -> argparse.ArgumentParser:
                              description="exact Weyl star-product workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def leaf(name, handler, help_text, group=sub):
+    def leaf(name, handler, help_text, *operands, dim=True, envelope=True, group=sub):
+        """A subcommand with its positional operands and the shared flags it reads."""
         p = group.add_parser(name, help=help_text)
-        _common_flags(p)
-        p.set_defaults(handler=handler)
+        if dim:
+            p.add_argument("--dim", type=int, default=1, metavar="N",
+                           help="phase-space dimension n (default 1)")
+        if envelope:
+            p.add_argument("--envelope", default="0", metavar="C",
+                           help="Gaussian envelope rate c in exp(-c|q|^2), rational")
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--json", action="store_true", help="canonical JSON output")
+        mode.add_argument("--pretty", action="store_true",
+                          help="human-readable output (default)")
+        for operand in operands:
+            p.add_argument(operand)
+        p.set_defaults(handler=handler, operands=operands)
         return p
 
-    p = leaf("star", _cmd_star, "star product F * G")
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = leaf("commutator", _shown(star_commutator, "f", "g"), "star commutator [F, G]")
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = leaf("smap", _cmd_smap, "apply the equivalence map S (or its inverse)")
-    p.add_argument("f")
+    leaf("star", _cmd_star, "star product F * G", "f", "g")
+    leaf("commutator", _shown(star_commutator), "star commutator [F, G]", "f", "g")
+    p = leaf("smap", _cmd_smap, "apply the equivalence map S (or its inverse)", "f")
     p.add_argument("--inverse", action="store_true")
+    leaf("omega0", _shown(omega0), "flat-state expectation of F", "f")
+    leaf("inner0", _shown(inner0), "GNS inner product of F and G", "f", "g")
+    leaf("ideal0", _cmd_ideal0, "null-ideal membership and decomposition", "f")
+    leaf("project", _shown(project_H0), "project onto base functions", "f")
+    leaf("pi0", _shown(pi0), "operator representation of F", "f")
 
-    p = leaf("omega0", _shown(omega0, "f"), "flat-state expectation of F")
-    p.add_argument("f")
-
-    p = leaf("inner0", _shown(inner0, "f", "g"), "GNS inner product of F and G")
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = leaf("ideal0", _cmd_ideal0, "null-ideal membership and decomposition")
-    p.add_argument("f")
-
-    p = leaf("project", _shown(project_H0, "f"), "project onto base functions")
-    p.add_argument("f")
-
-    p = leaf("pi0", _shown(pi0, "f"), "operator representation of F")
-    p.add_argument("f")
-
-    p = leaf("weyl-check", _cmd_weyl_check, "compare pi0 with symmetrized words")
+    p = leaf("weyl-check", _cmd_weyl_check, "compare pi0 with symmetrized words",
+             envelope=False)
     p.add_argument("--max-degree", type=int, required=True, metavar="D")
 
-    p = leaf("evolve", _cmd_evolve, "Heisenberg evolution A_t F")
-    p.add_argument("f")
+    p = leaf("evolve", _cmd_evolve, "Heisenberg evolution A_t F", "f")
     p.add_argument("--t", required=True, metavar="T")
     p.add_argument("--action", required=True, metavar="S")
 
     for name, handler, text in (
-            ("omega1", _shown(omega1, "f", action=True), "transported-state expectation"),
+            ("omega1", _shown(omega1, action=True), "transported-state expectation"),
             ("ideal1", _cmd_ideal1, "transported null-ideal membership"),
-            ("pi1", _shown(pi1, "f", action=True), "transported operator representation")):
-        p = leaf(name, handler, text)
-        p.add_argument("f")
+            ("pi1", _shown(pi1, action=True), "transported operator representation")):
+        p = leaf(name, handler, text, "f")
         p.add_argument("--action", required=True, metavar="S")
 
     wkb = sub.add_parser("wkb", help="transport hierarchy and 1-d solver")
     wkb_sub = wkb.add_subparsers(dest="wkb_command", required=True)
 
-    p = leaf("hierarchy", _cmd_wkb_hierarchy, "lambda-split eigenproblem operators", wkb_sub)
+    p = leaf("hierarchy", _cmd_wkb_hierarchy, "lambda-split eigenproblem operators",
+             envelope=False, group=wkb_sub)
     p.add_argument("--ham", required=True, metavar="H")
     p.add_argument("--action", required=True, metavar="S")
     p.add_argument("--energy", required=True, metavar="E")
     p.add_argument("--order", type=int, required=True, metavar="R")
 
-    p = leaf("solve1d", _cmd_wkb_solve1d, "solve the transport recursion on a grid", wkb_sub)
+    p = leaf("solve1d", _cmd_wkb_solve1d, "solve the transport recursion on a grid",
+             dim=False, envelope=False, group=wkb_sub)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--sprime-expr", metavar="EXPR")
     source.add_argument("--sprime-file", metavar="FILE")
@@ -360,8 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-5)
 
     p = leaf("phase-conj", _cmd_phase_conj,
-             "conjugate H by the phase of S and compare with evolve")
-    p.add_argument("h")
+             "conjugate H by the phase of S and compare with evolve", "h", envelope=False)
     p.add_argument("--t", required=True, metavar="T")
     p.add_argument("--action", required=True, metavar="S")
 

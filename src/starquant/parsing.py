@@ -14,7 +14,8 @@ valid in dimension one; otherwise indices are 1-based (``q1`` .. ``qn``).
 Parentheses nest at most ``MAX_DEPTH`` levels deep, so hostile input
 fails with a positioned syntax error instead of exhausting the stack.
 A power of a t-term base may have up to C(n + t - 1, t - 1) terms; one
-above ``MAX_POWER_TERMS`` raises ``BudgetExceeded`` before expanding.
+above ``MAX_POWER_TERMS`` raises ``BudgetExceeded`` before expanding, as
+does a power whose coefficients may need more than ``MAX_POWER_BITS`` bits.
 The leading unary minus is accepted so canonically printed observables
 (whose first term may carry a negative coefficient) parse back.
 """
@@ -36,6 +37,11 @@ MAX_DEPTH = 100
 # Most terms a power of a sum may expand to: (q+p)^999 parses in about
 # 1.5 s on 2 vCPUs, and the cost grows as the square of the term count.
 MAX_POWER_TERMS = 1000
+# Most bits a power's coefficients may grow to: c^n needs up to n times
+# the bits of |Re c| + |Im c| and of the denominator, so 2^(10^20) would
+# otherwise run until memory runs out.  2^65536 takes microseconds and is
+# far past the int-to-str limit (4300 digits by default) of any output.
+MAX_POWER_BITS = 2 ** 16
 # the exponent of a decimal numeral such as '2.5e-3' (Fraction's own syntax)
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
@@ -213,6 +219,14 @@ class _Parser:
                 raise BudgetExceeded(
                     f"{base_tok.line}:{base_tok.column}: power {exponent} of a "
                     f"{t}-term base may expand to more than {MAX_POWER_TERMS} terms")
+            # units (1, -1, i, -i) add no bits; (x - 1).bit_length() >= log2(x)
+            growth = max(((abs(c.re_num) + abs(c.im_num) - 1).bit_length()
+                          + (c.den - 1).bit_length() for c in base.terms.values()),
+                         default=0)
+            if exponent * growth > MAX_POWER_BITS:
+                raise BudgetExceeded(
+                    f"{base_tok.line}:{base_tok.column}: power {exponent} may give "
+                    f"coefficients of more than {MAX_POWER_BITS} bits")
             return base ** exponent
         return base
 

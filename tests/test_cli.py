@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,3 +606,60 @@ def test_solve1d_underflowing_grid_step_exits_3(capsys, order):
                          "--order", order, "--bc", "1", "--json")
     assert_one_error_line(code, out, err, "ValueError")
     assert "not finite" in err
+
+
+HIERARCHY_ARGV = ["wkb", "hierarchy", "--ham", "p^2+1-q^2", "--action", "q^2/2",
+                  "--energy", "1", "--order", "1"]
+SOLVE1D_ARGV = ["wkb", "solve1d", "--sprime-expr", "q", "--interval", "1", "2",
+                "--samples", "16", "--order", "0", "--bc", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["weyl-check", "--max-degree", "1"], ["--envelope", "1"]),
+    (["phase-conj", "p", "--t", "1", "--action", "q"], ["--envelope", "1"]),
+    (HIERARCHY_ARGV, ["--envelope", "1"]),
+    (SOLVE1D_ARGV, ["--dim", "2"]),
+    (SOLVE1D_ARGV, ["--envelope", "1"])])
+def test_flags_a_subcommand_never_reads_exit_2(capsys, argv, flag):
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, *flag)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "UsageError",
+                                    "message": f"unrecognized arguments: {' '.join(flag)}"}
+
+
+def test_weyl_check_rejects_negative_degree(capsys):
+    code, out, err = run(capsys, "weyl-check", "--max-degree", "-3", "--json")
+    assert_one_error_line(code, out, err, "ValueError")
+    assert "degree must be nonnegative" in err
+
+
+@pytest.mark.parametrize("text", ["", "# no samples\n\n"])
+def test_solve1d_file_without_samples_exits_3_on_one_line(tmp_path, text):
+    # numpy warns on such a file; in process pytest would capture the warning,
+    # so the streams are read from a child process
+    path = tmp_path / "sprime.dat"
+    path.write_text(text)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "starquant.cli", "wkb", "solve1d", "--sprime-file", str(path),
+         "--interval", "0", "1", "--samples", "64", "--order", "0", "--bc", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert [json.loads(line) for line in done.stderr.splitlines()] == [
+        {"error": "ValueError", "message": "S' file holds no samples"}]
+
+
+def test_solve1d_one_row_file_counts_samples(tmp_path, capsys):
+    # one row of two columns is two columns, too few samples for a spline
+    path = tmp_path / "sprime.dat"
+    path.write_text("1 2\n")
+    code, out, err = run(capsys, "wkb", "solve1d", "--sprime-file", str(path),
+                         "--interval", "0", "1", "--samples", "64",
+                         "--order", "0", "--bc", "1")
+    assert_one_error_line(code, out, err, "ValueError")
+    assert "need at least four (q, value) samples" in err

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from starquant import (BudgetExceeded, GaussianObservable, IndexOutOfRange,
                        NegativeExponent, ObservableParseError, ObservableSyntaxError,
                        PhasePolynomial, Scalar, parse_observable)
-from starquant.parsing import MAX_POWER_TERMS, parse_complex_constant, parse_rational
+from starquant.parsing import (MAX_POWER_BITS, MAX_POWER_TERMS, parse_complex_constant,
+                               parse_rational)
 from starquant.render import pretty_polynomial
 
 from conftest import polynomials
@@ -79,6 +80,26 @@ def test_power_term_budget():
     # bases of one term, or none, are never refused
     assert parse_observable("(2*q1*p2)^3000", 2).body.terms
     assert parse_observable("(q-q)^5000", 1).is_zero()
+
+
+def test_power_bit_budget():
+    # c^n needs up to n times the bits of |Re c| + |Im c| - 1 and of den - 1;
+    # 2^(20 digits) would run until memory runs out
+    assert MAX_POWER_BITS == 2 ** 16
+    t0 = time.perf_counter()
+    for text in ("2^12345678901234567890", "((2)^12345678901234567890)^1",
+                 "(1+i)^12345678901234567890", "(q/2)^12345678901234567890",
+                 "(10^30*q+p)^999", "2^65537"):
+        with pytest.raises(BudgetExceeded, match="bits"):
+            parse_observable(text, 1)
+    assert time.perf_counter() - t0 < 1
+    assert parse_complex_constant("2^65536") == Scalar.of(2 ** 65536)
+    assert parse_complex_constant("(1/4)^32768") == Scalar.of(Fraction(1, 4 ** 32768))
+    # units and zero grow no bits, whatever the power
+    assert parse_complex_constant("i^12345678901234567890") == Scalar.of(-1)
+    assert parse_observable("(-q)^12345678901234567890", 1) == parse_observable(
+        "q^12345678901234567890", 1)
+    assert parse_observable("0^12345678901234567890", 1).is_zero()
 
 
 def test_index_range_checks():

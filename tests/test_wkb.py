@@ -378,21 +378,22 @@ def test_transport_residuals_from_samples_only():
     assert report.passed
 
 
-def solve_orders(sprime_fn, n, top):
-    """S' sampled on [1, 2] with the CLI's pad, and phi_0..phi_top from phi_0(1) = 1."""
-    sp = GridFunction1D.from_callable(sprime_fn, 1.0, 2.0, n, max(4, 2 * (top + 1)))
+def solve_orders(sprime_fn, n, top, a=1.0):
+    """S' sampled on [a, a + 1] with the CLI's pad, and phi_0..phi_top from phi_0(a) = 1."""
+    sp = GridFunction1D.from_callable(sprime_fn, a, a + 1.0, n, max(4, 2 * (top + 1)))
     orders = [solve_transport_1d(sp, None, 1.0)]
     for _ in range(top):
         orders.append(solve_transport_1d(sp, orders[-1], 0.0))
     return sp, orders
 
 
-def transport_errors(m, n, top=3):
+def transport_errors(m, n, top=3, root=Fraction(1)):
     """Max interior error of orders 1..top against the exact recursion,
-    for S' = q^m on [1, 2] with the CLI's pad."""
-    _, orders = solve_orders(lambda q: q ** m, n, top)
-    exact = exact_transport(m, top)
-    q = np.linspace(1.0, 2.0, n)
+    for S' = q^m on [a, a + 1], a = root^2, with the CLI's pad."""
+    a = float(root * root)
+    _, orders = solve_orders(lambda q: q ** m, n, top, a)
+    exact = exact_transport(m, top, root)
+    q = np.linspace(a, a + 1.0, n)
     return [np.max(np.abs(orders[r].interior() - 1j ** r * sum(
         float(c) * q ** float(e) for e, c in exact[r].items()))) for r in range(1, top + 1)]
 
@@ -419,6 +420,55 @@ def test_exact_transport_solves_the_recursion(m):
         assert sum(orders[r].values()) == 0  # phi_r(1) = 0
     assert exact_transport(1, 1)[1] == {Fraction(-1, 2): Fraction(3, 16),
                                          Fraction(-5, 2): Fraction(-3, 16)}
+
+
+def _at(terms, root):
+    # sum c a^e at a = root^2, exactly: every 2e is an integer
+    return sum(c * root ** int(2 * e) for e, c in terms.items())
+
+
+@pytest.mark.parametrize("root", [Fraction(1, 2), Fraction(3, 2), Fraction(5, 3)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exact_transport_from_other_endpoints_solves_the_recursion(m, root):
+    # the same recursion from a = root^2, with phi_0(a) = 1 and phi_r(a) = 0
+    orders = exact_transport(m, 4, root)
+    assert orders[0] == {Fraction(-m, 2): root ** m}
+    assert _at(orders[0], root) == 1
+    for r in range(1, 5):
+        lhs: dict = {}
+        for e, c in _diff(orders[r]).items():
+            lhs[e + m] = lhs.get(e + m, 0) + 2 * c
+        for e, c in orders[r].items():
+            lhs[e + m - 1] = lhs.get(e + m - 1, 0) + m * c
+        assert {e: c for e, c in lhs.items() if c} == _diff(orders[r - 1], 2)
+        assert _at(orders[r], root) == 0
+    assert exact_transport(m, 4, Fraction(1)) == exact_transport(m, 4)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_transport_orders_converge_from_other_endpoints(m):
+    # on [9/4, 13/4] the rates of [1, 2] hold from N = 65 on, and phi_0,
+    # a pure power of q, is exact to rounding
+    _, (phi0,) = solve_orders(lambda q: q ** m, 65, 0, 2.25)
+    q = np.linspace(2.25, 3.25, 65)
+    assert np.max(np.abs(phi0.interior() - (2.25 / q) ** (m / 2))) < 1e-15
+    errs = [transport_errors(m, n, root=Fraction(3, 2)) for n in (65, 129, 257)]
+    for coarse, fine in zip(errs, errs[1:]):
+        ratios = [c / f for c, f in zip(coarse, fine)]
+        assert 13 <= ratios[0] <= 18, errs
+        assert all(3.6 <= x <= 4.4 for x in ratios[1:]), errs
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_transport_rates_settle_later_near_zero(m):
+    # at a = 1/4, where S'(a) is small, the coarse grids converge more
+    # slowly (order 1 about 12-13x, orders 2 and 3 about 3.1-3.9x per
+    # halving from N = 65) and reach the rates of [1, 2] by N = 257
+    errs = [transport_errors(m, n, root=Fraction(1, 2)) for n in (65, 129, 257, 513)]
+    ratios = [[c / f for c, f in zip(coarse, fine)] for coarse, fine in zip(errs, errs[1:])]
+    assert ratios[0][0] >= 11 and all(x >= 3 for x in ratios[0][1:]), errs
+    assert 13 <= ratios[-1][0] <= 18, errs
+    assert all(3.6 <= x <= 4.4 for x in ratios[-1][1:]), errs
 
 
 @pytest.mark.parametrize("m", [1, 2])
