@@ -451,7 +451,7 @@ def test_transport_orders_converge_from_other_endpoints(m):
     # a pure power of q, is exact to rounding
     _, (phi0,) = solve_orders(lambda q: q ** m, 65, 0, 2.25)
     q = np.linspace(2.25, 3.25, 65)
-    assert np.max(np.abs(phi0.interior() - (2.25 / q) ** (m / 2))) < 1e-15
+    assert np.max(np.abs(phi0.interior() - (2.25 / q) ** (m / 2))) < 1e-14
     errs = [transport_errors(m, n, root=Fraction(3, 2)) for n in (65, 129, 257)]
     for coarse, fine in zip(errs, errs[1:]):
         ratios = [c / f for c, f in zip(coarse, fine)]
