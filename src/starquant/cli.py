@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -47,14 +48,25 @@ MAX_SAMPLES = 2 ** 20
 # 3.11); the output would otherwise grow as order^2 through the
 # order-dependent pad.
 MAX_GRID_VALUES = 2 ** 21
-# Largest --dim of a command that parses operands: the kernel builds each
-# combined key one dimension at a time, a cost quadratic in dim that no
-# budget counts (q1 * p1 at dim 30000 runs for seconds).  No test, corpus
-# entry or benchmark op parses above dim 8.
+# Largest --dim of a command that parses operands: every term of every
+# operand and result carries two exponent tuples of dim entries, a cost no
+# other budget counts.  No test, corpus entry or benchmark op parses above
+# dim 8.
 MAX_DIM = 64
+# Words that are values, never flags: argparse's own negative numbers
+# ("-1", "-0.5"), negative fractions ("-1/2") and complex constants with a
+# negative real part ("-1/2+3*i", "-1-i").  Any other word that starts with
+# "-" stays a flag, so "--t -1/2" reads like "--t=-1/2".
+_NEGATIVE_VALUE = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)([+-](\d+(/\d+)?\*)?i)?$")
+
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse with JSON usage errors, matching the error contract."""
+    """argparse with JSON usage errors, matching the error contract, that
+    reads a negative fraction or complex constant as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
     def error(self, message):
         sys.stderr.write(json.dumps({"error": "UsageError", "message": message}) + "\n")

@@ -21,9 +21,11 @@ Sums of products go over one denominator, in one routine.
 denominators, adds plain integer numerators per output term
 (``_products``) and reduces each output coefficient once
 (``PhasePolynomial._from_numerators``), never one ``Scalar`` at a time.
-The product, the momentum substitution, operator composition, the
-odd-order tail of the flow, the phase derivative and the phase star all
-call it.  Two sums keep their own pass: the star kernel's ``star._sum``
+The product, operator composition, the odd-order tail of the flow, the
+phase derivative and the phase star all call it.  The momentum
+substitution (``_shift_momenta``) shifts one p_k at a time: it calls
+``_products`` once per momentum on cached powers of the shift and reduces
+once at the end.  Two sums keep their own pass: the star kernel's ``star._sum``
 rotates by i^n, filters by order, prices entries against the byte budget
 and pauses the collector, so sharing would make the routine branch on its
 caller; the flat state ``gns.omega0`` weighs scalar moments and forms no
@@ -42,9 +44,8 @@ Everything here is pure: no method mutates its receiver.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb, lcm, prod
-from operator import add, sub
+from math import lcm
+from operator import add
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, EnvelopeMismatch
@@ -126,6 +127,55 @@ def _sum_of_products(dim: int, jobs: Sequence[tuple]) -> "PhasePolynomial":
     """``_products`` with each output coefficient reduced once."""
     common, acc = _products(jobs)
     return PhasePolynomial._from_numerators(dim, acc, common)
+
+
+def _first_powers(u: "PhasePolynomial") -> tuple:
+    """(1, u) as ``_numerators()`` pairs: the powers of u up to u^1."""
+    zero = (0,) * u.dim
+    return (1, {(0, zero, zero): (1, 0)}), u._numerators()
+
+
+def _numerator_powers(powers: tuple, degree: int) -> tuple:
+    """``powers`` = (1, u, u^2, ...) as numerator pairs, starting at least at
+    (1, u), extended to u^degree by unreduced products."""
+    if len(powers) > degree:
+        return powers
+    grown = list(powers)
+    while len(grown) <= degree:
+        grown.append(_products(((0, 1, 0, 1, grown[-1], grown[1]),)))
+    return tuple(grown)
+
+
+def _momentum_degrees(poly: "PhasePolynomial") -> list[int]:
+    """The highest exponent of each p_k in ``poly``; empty for zero."""
+    return [max(column) for column in zip(*(beta for _, _, beta in poly.terms))]
+
+
+def _shift_momenta(nums: tuple[int, dict], powers: Sequence[tuple],
+                   c: Rat) -> tuple[int, dict]:
+    """p_k -> p_k + c*u_k in the numerator pair ``nums``, one momentum at a time.
+
+    ``powers[k]`` holds the numerator pairs (1, u_k, u_k^2, ...) of a
+    base-only u_k up to at least the p_k-degree of ``nums``; a zero u_k
+    leaves p_k alone.  As (p_k + c*u_k)^e = sum_j C(e, j) c^j p_k^(e-j) u_k^j,
+    the terms go into one job per j against u_k^j, with c^j in its weight.
+    Each dimension's sum stays unreduced, like ``_products``, and so does
+    the result.
+    """
+    for k, pw in enumerate(powers):
+        if not pw[1][1]:
+            continue
+        groups = {0: nums[1]}
+        for (lam, alpha, beta), (re, im) in nums[1].items():
+            e, w = beta[k], 1
+            for j in range(1, e + 1):
+                w = w * (e - j + 1) // j  # C(e, j)
+                groups.setdefault(j, {})[lam, alpha, beta[:k] + (e - j,) + beta[k + 1:]] = (
+                    re * w, im * w)
+        if len(groups) > 1:
+            nums = _products([(0, c.numerator ** j, 0, c.denominator ** j, (nums[0], group),
+                               pw[j]) for j, group in groups.items()])
+    return nums
 
 
 class PhasePolynomial:
@@ -382,29 +432,10 @@ class PhasePolynomial:
             self._check_dim(u)
             if not u.is_base_only():
                 raise ValueError("momentum substitution requires base-only shifts")
-        # (p_k + u_k)^e = sum_m C(e, m) p_k^(e-m) u_k^m: the terms go into one
-        # job per multi-index m against u^m = prod_k u_k^(m_k), whose powers
-        # are cached a call as unreduced numerators
-        dim = self.dim
-        one = (1, {(0, (0,) * dim, (0,) * dim): (1, 0)})
-        nums = [u._numerators() for u in shifts]
-        powers = [[one, u] for u in nums]
-        den, terms = self._numerators()
-        groups: dict[tuple[int, ...], dict] = {}
-        for (k, alpha, beta), (re, im) in terms.items():
-            for ms in product(*(range(e + 1) if u else (0,) for e, u in zip(beta, shifts))):
-                w = prod(map(comb, beta, ms))
-                groups.setdefault(ms, {})[k, alpha, tuple(map(sub, beta, ms))] = re * w, im * w
-        jobs = []
-        for ms, group in groups.items():
-            um = one
-            for pw, u, m in zip(powers, nums, ms):
-                while len(pw) <= m:
-                    pw.append(_products(((0, 1, 0, 1, pw[-1], u),)))
-                if m:
-                    um = pw[m] if um is one else _products(((0, 1, 0, 1, um, pw[m]),))
-            jobs.append((0, 1, 0, 1, (den, group), um))
-        return _sum_of_products(dim, jobs)
+        powers = [_numerator_powers(_first_powers(u), e)
+                  for u, e in zip(shifts, _momentum_degrees(self))]
+        den, acc = _shift_momenta(self._numerators(), powers, 1)
+        return PhasePolynomial._from_numerators(self.dim, acc, den)
 
     # -- ordering, equality, display ----------------------------------
 

@@ -15,7 +15,8 @@ Parentheses nest at most ``MAX_DEPTH`` levels deep, so hostile input
 fails with a positioned syntax error instead of exhausting the stack.
 A power of a t-term base may have up to C(n + t - 1, t - 1) terms; one
 above ``MAX_POWER_TERMS`` raises ``BudgetExceeded`` before expanding, as
-does a power whose coefficients may need more than ``MAX_POWER_BITS`` bits.
+does a power whose coefficients may need more than ``MAX_POWER_BITS`` bits,
+and one whose term bound times coefficient bits exceeds ``MAX_POWER_WORK``.
 The leading unary minus is accepted so canonically printed observables
 (whose first term may carry a negative coefficient) parse back.
 """
@@ -42,6 +43,11 @@ MAX_POWER_TERMS = 1000
 # otherwise run until memory runs out.  2^65536 takes microseconds and is
 # far past the int-to-str limit (4300 digits by default) of any output.
 MAX_POWER_BITS = 2 ** 16
+# Most terms times coefficient bits a power may expand to, the two bounds
+# above multiplied: each may pass alone while the expansion runs for
+# seconds.  (4*q+p)^999, 1000 terms of 1998 bits, parses in about 1.3 s on
+# 2 vCPUs; (2^64*q+p)^999 took 10.7 s.
+MAX_POWER_WORK = 2 ** 21
 # the exponent of a decimal numeral such as '2.5e-3' (Fraction's own syntax)
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
@@ -212,21 +218,29 @@ class _Parser:
                 # only reachable for lambda, checked in exponent()
                 return PhasePolynomial.lam(self.dim, exponent)
             t = len(base.terms)
-            top = exponent + t - 1
-            # C(top, t - 1) >= top once t >= 2 and exponent >= 1
-            if t > 1 and exponent > 0 and (top > MAX_POWER_TERMS
-                                           or comb(top, t - 1) > MAX_POWER_TERMS):
-                raise BudgetExceeded(
-                    f"{base_tok.line}:{base_tok.column}: power {exponent} of a "
-                    f"{t}-term base may expand to more than {MAX_POWER_TERMS} terms")
+            terms = 1
+            if t > 1 and exponent > 0:
+                # C(top, t - 1) >= top once t >= 2 and exponent >= 1
+                top = exponent + t - 1
+                terms = top if top > MAX_POWER_TERMS else comb(top, t - 1)
+                if terms > MAX_POWER_TERMS:
+                    raise BudgetExceeded(
+                        f"{base_tok.line}:{base_tok.column}: power {exponent} of a "
+                        f"{t}-term base may expand to more than {MAX_POWER_TERMS} terms")
             # units (1, -1, i, -i) add no bits; (x - 1).bit_length() >= log2(x)
             growth = max(((abs(c.re_num) + abs(c.im_num) - 1).bit_length()
                           + (c.den - 1).bit_length() for c in base.terms.values()),
                          default=0)
-            if exponent * growth > MAX_POWER_BITS:
+            bits = exponent * growth
+            if bits > MAX_POWER_BITS:
                 raise BudgetExceeded(
                     f"{base_tok.line}:{base_tok.column}: power {exponent} may give "
                     f"coefficients of more than {MAX_POWER_BITS} bits")
+            if terms * bits > MAX_POWER_WORK:
+                raise BudgetExceeded(
+                    f"{base_tok.line}:{base_tok.column}: power {exponent} may expand to "
+                    f"{terms} terms of up to {bits} bits; at most {MAX_POWER_WORK} term-bits "
+                    f"are expanded")
             return base ** exponent
         return base
 

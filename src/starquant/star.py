@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import gc
 from functools import lru_cache
+from itertools import product
 from math import factorial, gcd, lcm, log2
 from typing import Iterable, Iterator, NamedTuple
 
@@ -279,9 +280,17 @@ def _combine(tables: list[Table]) -> Iterator[Entry]:
     """Product over two or more dimensions of 1-d tables, over the product of
     their D, entry by entry: only the product of all but the last is held."""
     head = tables[0][1]
-    for _, entries in tables[1:-1]:
-        head = [(n + m, xs + x, ys + y, u * w)
-                for n, xs, ys, u in head for m, x, y, w in entries]
+    if len(tables) > 2:
+        # each key of the head is built once, by product, from its
+        # per-dimension parts: growing it one dimension at a time costs time
+        # quadratic in dim; orders and numerators are scalars and grow so
+        parts = [entries for _, entries in tables[:-1]]
+        weights = [(n, u) for n, _, _, u in head]
+        for entries in parts[1:]:
+            weights = [(n + m, u * w) for n, u in weights for m, _, _, w in entries]
+        xs = product(*([x for _, (x,), _, _ in entries] for entries in parts))
+        ys = product(*([y for _, _, (y,), _ in entries] for entries in parts))
+        head = [(n, x, y, u) for (n, u), x, y in zip(weights, xs, ys)]
     last = tables[-1][1]
     for n, xs, ys, u in head:
         for m, x, y, w in last:

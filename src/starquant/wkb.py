@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DimensionMismatch, GridTooCoarse,
                      HamiltonJacobiViolated, TurningPointError)
-from .evolution import ActionData, evolve
+from .evolution import ActionData, evolve, fiber_flow
 from .gns import SchrodingerOperator, pi0
 from .observables import GaussianObservable, PhasePolynomial
 from .scalars import I, Rat, Scalar
@@ -75,7 +75,7 @@ def hj_residual(ham: PhasePolynomial, s: ActionData, energy: Rat) -> PhasePolyno
     if ham.dim != s.dim:
         raise DimensionMismatch(f"hamiltonian dim {ham.dim} vs action dim {s.dim}")
     energy = Fraction(energy)
-    restricted = ham.substitute_momenta(list(s.gradient)).restrict_zero_section()
+    restricted = fiber_flow(ham, -1, s).body.restrict_zero_section()
     return restricted - PhasePolynomial.constant(ham.dim, energy)
 
 

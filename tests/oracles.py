@@ -323,15 +323,18 @@ def reference_poly_mul(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomia
 
 
 def reference_substitute_momenta(f: PhasePolynomial, shifts) -> PhasePolynomial:
-    """p_k -> p_k + u_k, with (p_k + u_k)^e as e repeated products."""
+    """p_k -> p_k + u_k, with (p_k + u_k)^e as e repeated products, each
+    power formed once a call."""
     n = f.dim
-    shifted_p = [PhasePolynomial.coordinate_p(k, n) + shifts[k] for k in range(n)]
+    powers = [[PhasePolynomial.one(n)] for _ in range(n)]
     out = PhasePolynomial.zero(n)
     for (k, alpha, beta), c in f.terms.items():
         acc = PhasePolynomial(n, {(k, alpha, (0,) * n): c})
         for j, e in enumerate(beta):
-            for _ in range(e):
-                acc = reference_poly_mul(acc, shifted_p[j])
+            shifted = PhasePolynomial.coordinate_p(j, n) + shifts[j]
+            while len(powers[j]) <= e:
+                powers[j].append(reference_poly_mul(powers[j][-1], shifted))
+            acc = reference_poly_mul(acc, powers[j][e])
         out = out + acc
     return out
 

@@ -166,8 +166,8 @@ def test_table_work_budget_exits_3_fast(capsys, argv):
 
 @pytest.mark.parametrize("dim", [3000000, cli.MAX_DIM + 1])
 def test_dimension_past_the_limit_exits_3_fast(capsys, dim):
-    # refused before any operand is parsed; combining the kernel's keys
-    # costs time quadratic in dim, which no budget counts
+    # refused before any operand is parsed: every term carries exponent
+    # tuples of dim entries, which no other budget counts
     start = time.perf_counter()
     code, out, err = run(capsys, "star", "q1", "p1", "--dim", str(dim), "--json")
     assert time.perf_counter() - start < 1.0
@@ -663,3 +663,33 @@ def test_solve1d_one_row_file_counts_samples(tmp_path, capsys):
                          "--order", "0", "--bc", "1")
     assert_one_error_line(code, out, err, "ValueError")
     assert "need at least four (q, value) samples" in err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["evolve", "p^3", "--action", "q^3"], "--t", "-1/2"),
+    (["phase-conj", "p^2", "--action", "q^3"], "--t", "-1/2"),
+    (HIERARCHY_ARGV[:-4] + HIERARCHY_ARGV[-2:], "--energy", "-1/2"),
+    (["star", "q", "p"], "--envelope", "-1/2"),
+    (SOLVE1D_ARGV[:-2], "--bc", "-1/2"),
+    (SOLVE1D_ARGV[:-2], "--bc", "-1/2+3*i"),
+    (SOLVE1D_ARGV[:-2], "--bc", "-1-i")])
+def test_negative_fraction_after_a_flag_is_its_value(capsys, argv, flag, value):
+    joined = run(capsys, *argv, f"{flag}={value}", "--json")
+    assert joined[0] in (0, 3)
+    assert run(capsys, *argv, flag, value, "--json") == joined
+
+
+@pytest.mark.parametrize("value", ["-1/2x", "-1/2+3*q", "-1/-2", "-q", "-1e-3"])
+def test_other_dashed_words_after_a_flag_stay_flags(capsys, value):
+    code, out, err = run(capsys, "evolve", "p", "--action", "q", "--t", value)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "UsageError",
+                               "message": "argument --t: expected one argument"}
+
+
+def test_power_past_the_work_budget_exits_3_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "star", "(2^64*q+p)^999", "1", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert_one_error_line(code, out, err, "BudgetExceeded")
+    assert "term-bits" in err

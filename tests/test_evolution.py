@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -13,10 +15,10 @@ from starquant import (ActionData, GaussianObservable, IntegralValue,
                        gelfand_member0, gelfand_member1, inner0, omega0, omega1,
                        pi0, pi1, star, star_commutator, t_operator_apply)
 
-from starquant.evolution import _source_apply
+from starquant.evolution import _exp_source, _source_apply
 
 from conftest import base_polynomials, polynomials, real_scalars
-from oracles import picard_evolve, reference_source_apply
+from oracles import picard_evolve, reference_source_apply, reference_substitute_momenta
 from test_star import random_polynomial
 
 Q = PhasePolynomial.coordinate_q(0, 1)
@@ -71,6 +73,72 @@ def test_fiber_flow_translates_momenta():
     f = obs(P ** 2 + Q * P)
     assert fiber_flow(fiber_flow(f, Fraction(1, 3), S_CUBE), Fraction(2, 3), S_CUBE) \
         == fiber_flow(f, 1, S_CUBE)
+
+
+@st.composite
+def flow_cases(draw):
+    """(f, t, s) in dims 1-3; the action leaves out the coordinates of a
+    drawn mask, so the matching gradient components are zero."""
+    dim = draw(st.integers(1, 3))
+    mask = draw(st.tuples(*([st.booleans()] * dim)))
+    action = draw(base_polynomials(dim, max_terms=3, max_degree=3, coeffs=real_scalars))
+    action = PhasePolynomial(dim, {(k, tuple(a * m for a, m in zip(alpha, mask)), beta): c
+                                   for (k, alpha, beta), c in action.terms.items()})
+    f = draw(polynomials(dim, max_terms=3, max_degree=3))
+    rate = draw(st.sampled_from((0, 1)))
+    t = draw(st.sampled_from((0, Fraction(1, 3), Fraction(-1, 3), 2, -2)))
+    return GaussianObservable(f, rate), Fraction(t), ActionData(action)
+
+
+@given(flow_cases())
+@settings(max_examples=80)
+def test_fiber_flow_matches_repeated_products(case):
+    f, t, s = case
+    want = reference_substitute_momenta(f.body, [g.scale(-t) for g in s.gradient])
+    assert fiber_flow(f, t, s) == GaussianObservable(want, f.rate)
+
+
+Q1_3, Q2_3, Q3_3 = (PhasePolynomial.coordinate_q(k, 3) for k in range(3))
+P1_3, P2_3, P3_3 = (PhasePolynomial.coordinate_p(k, 3) for k in range(3))
+S_3D = Q1_3 ** 3 * Q2_3 + Q2_3 * Q2_3 * Q3_3 - Q1_3 * Q3_3 * Fraction(1, 2)
+
+
+def test_gradient_powers_grow_in_either_order():
+    high = obs(P1_3 ** 6 * P2_3 ** 2 + Q1_3 * P3_3 ** 4)
+    low = obs(P1_3 * P2_3 ** 3 - Q2_3 * P3_3)
+    t = Fraction(-2, 3)
+    fresh = [fiber_flow(f, t, ActionData(S_3D)) for f in (high, low)]
+    for order in ((0, 1), (1, 0)):
+        shared = ActionData(S_3D)
+        got = {j: fiber_flow((high, low)[j], t, shared) for j in order}
+        assert [got[0], got[1]] == fresh
+        # the powers reach the highest p_k-degree flowed, and no further
+        assert [len(pw) - 1 for pw in shared._powers] == [6, 3, 4]
+
+
+def test_threads_evolving_on_one_action_agree_with_serial_runs():
+    rng = random.Random(60221)
+    cases = [(obs(random_polynomial(rng, 3, 4, 0, 1, 3) * P1_3 ** k), Fraction(k - 3, 2))
+             for k in range(8)]
+    serial = [evolve(f, t, ActionData(S_3D)) for f, t in cases]
+    shared = ActionData(S_3D)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(evolve, f, t, shared) for f, t in cases]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == serial
+
+
+def test_dim3_evolve_matches_the_reference_substitution():
+    f = obs(P1_3 ** 10 * P2_3 ** 10 * P3_3 ** 10)
+    s = ActionData(Q1_3 ** 4 * Q2_3 ** 4 * Q3_3 ** 4)
+    dressed = _exp_source(f, Fraction(1), s)
+    want = reference_substitute_momenta(dressed.body, [g.scale(-1) for g in s.gradient])
+    assert evolve(f, 1, s) == obs(want)
 
 
 def test_cubic_correction_closed_form():

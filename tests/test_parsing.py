@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from starquant import (BudgetExceeded, GaussianObservable, IndexOutOfRange,
                        NegativeExponent, ObservableParseError, ObservableSyntaxError,
                        PhasePolynomial, Scalar, parse_observable)
-from starquant.parsing import (MAX_POWER_BITS, MAX_POWER_TERMS, parse_complex_constant,
-                               parse_rational)
+from starquant.parsing import (MAX_POWER_BITS, MAX_POWER_TERMS, MAX_POWER_WORK,
+                               parse_complex_constant, parse_rational)
 from starquant.render import pretty_polynomial
 
 from conftest import polynomials
@@ -100,6 +100,20 @@ def test_power_bit_budget():
     assert parse_observable("(-q)^12345678901234567890", 1) == parse_observable(
         "q^12345678901234567890", 1)
     assert parse_observable("0^12345678901234567890", 1).is_zero()
+
+
+def test_power_work_budget():
+    # terms times bits: (c*q+p)^999 may have 1000 terms of 999 times the
+    # bits of c - 1; each count alone admits (2^64*q+p)^999, which took 10.7 s
+    assert MAX_POWER_WORK == 2 ** 21
+    t0 = time.perf_counter()
+    for text in ("(5*q+p)^999", "(2^64*q+p)^999", "(q+p+2^50)^43"):
+        with pytest.raises(BudgetExceeded, match="term-bits"):
+            parse_observable(text, 1)
+    assert time.perf_counter() - t0 < 1
+    # 1000 terms of 999 * 2 bits, and 990 terms of 43 * 49 bits, are inside
+    assert len(parse_observable("(4*q+p)^999", 1).body.terms) == 1000
+    assert len(parse_observable("(q+p+2^49)^43", 1).body.terms) == 990
 
 
 def test_index_range_checks():

@@ -270,6 +270,39 @@ def test_cold_large_tables_are_fast():
         assert time.perf_counter() - start < 0.3
 
 
+def _joined_one_dimension_at_a_time(tables):
+    """The combined entries with each key grown by one dimension a step."""
+    head = tables[0][1]
+    for _, entries in tables[1:]:
+        head = [(n + m, xs + x, ys + y, u * w)
+                for n, xs, ys, u in head for m, x, y, w in entries]
+    return head
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_combined_keys_match_joining_one_dimension_at_a_time(dim):
+    rng = random.Random(dim)
+    for _ in range(20):
+        tables = [kernel._star_table(rng.randint(0, 3), rng.randint(0, 3),
+                                     (rng.randint(0, 1), rng.randint(1, 2)),
+                                     rng.randint(0, 3), rng.randint(0, 3), (0, 1))
+                  for _ in range(dim)]
+        assert list(kernel._combine(tables)) == _joined_one_dimension_at_a_time(tables)
+
+
+def test_combining_keys_is_linear_in_the_dimension():
+    # 4000 and 8000 took 0.18 and 0.65 s while keys grew one dimension a step
+    dim = 8000
+    q1, p1 = (obs(PhasePolynomial.coordinate_q(0, dim)),
+              obs(PhasePolynomial.coordinate_p(0, dim)))
+    start = time.perf_counter()
+    product = star(q1, p1)
+    assert time.perf_counter() - start < 0.3
+    z = (0,) * (dim - 1)
+    assert product == obs(PhasePolynomial(dim, {
+        (0, (1,) + z, (1,) + z): 1, (1, (0,) + z, (0,) + z): Scalar(0, Fraction(1, 2))}))
+
+
 def test_large_monomial_product_closed_form():
     a = d = 60
     expect = {(n, (a - n,), (d - n,)): i_power(n) * Fraction(perm(a, n) * perm(d, n),
