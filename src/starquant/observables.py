@@ -25,11 +25,11 @@ The product, operator composition, the odd-order tail of the flow, the
 phase derivative and the phase star all call it.  The momentum
 substitution (``_shift_momenta``) shifts one p_k at a time: it calls
 ``_products`` once per momentum on cached powers of the shift and reduces
-once at the end.  Two sums keep their own pass: the star kernel's ``star._sum``
-rotates by i^n, filters by order, prices entries against the byte budget
-and pauses the collector, so sharing would make the routine branch on its
-caller; the flat state ``gns.omega0`` weighs scalar moments and forms no
-products.
+once at the end.  Two sums keep their own pass: the star kernel's
+``star._sum`` rotates by i^n, filters by order, prices entries against
+the byte budget and pauses the collector, so sharing would make the
+routine branch on its caller; the flat state ``gns.omega0`` weighs scalar
+moments and forms no products.
 
 Public constructors validate; arithmetic results skip the checks.
 ``PhasePolynomial(...)``, ``GaussianObservable(...)`` and ``PhaseSymbol(...)``

@@ -283,7 +283,8 @@ def _combine(tables: list[Table]) -> Iterator[Entry]:
     if len(tables) > 2:
         # each key of the head is built once, by product, from its
         # per-dimension parts: growing it one dimension at a time costs time
-        # quadratic in dim; orders and numerators are scalars and grow so
+        # quadratic in dim; orders and numerators are single numbers, so
+        # they still grow a dimension at a time
         parts = [entries for _, entries in tables[:-1]]
         weights = [(n, u) for n, _, _, u in head]
         for entries in parts[1:]:
