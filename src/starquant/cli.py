@@ -54,10 +54,12 @@ MAX_GRID_VALUES = 2 ** 21
 # dim 8.
 MAX_DIM = 64
 # Words that are values, never flags: argparse's own negative numbers
-# ("-1", "-0.5"), negative fractions ("-1/2") and complex constants with a
-# negative real part ("-1/2+3*i", "-1-i").  Any other word that starts with
-# "-" stays a flag, so "--t -1/2" reads like "--t=-1/2".
-_NEGATIVE_VALUE = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)([+-](\d+(/\d+)?\*)?i)?$")
+# ("-1", "-0.5"), the same with an exponent as parse_rational reads them
+# ("-1e-3", "-2.5E-3"), negative fractions ("-1/2") and complex constants
+# with a negative real part ("-1/2+3*i", "-1-i").  Any other word that
+# starts with "-" stays a flag, so "--t -1/2" reads like "--t=-1/2".
+_NEGATIVE_VALUE = re.compile(
+    r"^-(\d+/\d+|(\d+|\d*\.\d+)([eE][-+]?\d+)?)([+-](\d+(/\d+)?\*)?i)?$")
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -20,10 +20,9 @@ factorizes exactly as
 and both factors are exp-series of one shape, sum_m t^m G^m f / m!,
 finite on polynomials because L0 spends one momentum degree per
 application and R spends at least three.  ``evolve`` sums the R-series and
-applies exp(t L0) in closed form, as the fiber flow p -> p - t dS, one
-momentum at a time from the powers of dS that ``ActionData`` keeps;
-``evolve_t_polynomial`` convolves the two series to get A_t f as a
-polynomial in t.  No truncation happens anywhere.
+applies exp(t L0) in closed form, as the momentum substitution
+p -> p - t dS; ``evolve_t_polynomial`` convolves the two series to get
+A_t f as a polynomial in t.  No truncation happens anywhere.
 
 The time-one flow transports the flat-state constructions onto the
 graph of dS: state, ideal membership and operator realization at t = 1
@@ -37,21 +36,15 @@ from typing import Callable
 
 from .errors import DimensionMismatch
 from .gns import SchrodingerOperator, gelfand_member0, omega0, pi0
-from .observables import (GaussianObservable, Observable, PhasePolynomial, _first_powers,
-                          _leibniz_terms, _momentum_degrees, _numerator_powers,
-                          _shift_momenta, _sum_of_products)
+from .observables import (GaussianObservable, Observable, PhasePolynomial, _leibniz_terms,
+                          _sum_of_products)
 from .scalars import IntegralValue, Rat
 
 
 class ActionData:
-    """A real, lambda-free polynomial action S(q) with its exact gradient.
+    """A real, lambda-free polynomial action S(q) with its exact gradient."""
 
-    It also keeps the powers (d_k S)^j of each gradient component as
-    unreduced ``_numerators()`` pairs, grown only to the highest p_k-degree
-    that has been flowed; they are freed with the instance.
-    """
-
-    __slots__ = ("dim", "action", "gradient", "_powers")
+    __slots__ = ("dim", "action", "gradient")
 
     def __init__(self, action: PhasePolynomial):
         if not action.is_base_only():
@@ -64,20 +57,6 @@ class ActionData:
         self.action = action
         self.gradient: tuple[PhasePolynomial, ...] = tuple(
             action.diff_q(k) for k in range(action.dim))
-        self._powers = tuple(map(_first_powers, self.gradient))
-
-    def _gradient_powers(self, degrees: list[int]) -> tuple:
-        """The powers (1, d_k S, (d_k S)^2, ...) of each gradient component,
-        up to at least degrees[k].
-
-        A grown tuple is published in one assignment, so callers on other
-        threads can only repeat the growth, never read a wrong power.
-        """
-        powers = self._powers
-        if any(len(pw) <= e for pw, e in zip(powers, degrees)):
-            powers = tuple(map(_numerator_powers, powers, degrees))
-            self._powers = powers
-        return powers
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ActionData) and self.action == other.action
@@ -98,17 +77,13 @@ def fiber_flow(f: Observable, t: Rat, s: ActionData) -> GaussianObservable:
     """Pull back along the fiber translation p_k -> p_k - t d_k S."""
     obs = GaussianObservable.of(f)
     _check_dims(obs, s)
-    body = obs.body
-    powers = s._gradient_powers(_momentum_degrees(body))
-    den, acc = _shift_momenta(body._numerators(), powers, -Fraction(t))
-    return GaussianObservable._make(PhasePolynomial._from_numerators(obs.dim, acc, den),
-                                    obs.rate)
+    return obs.substitute_momenta([g.scale(-Fraction(t)) for g in s.gradient])
 
 
 def _fiber_apply(f: GaussianObservable, s: ActionData) -> GaussianObservable:
     """One application of the classical fiber transport L0 to f."""
-    jobs = [(0, -1, 0, 1, f.body.diff_p(k)._numerators(), powers[1])
-            for k, powers in enumerate(s._powers)]
+    jobs = [(0, -1, 0, 1, f.body.diff_p(k)._numerators(), g._numerators())
+            for k, g in enumerate(s.gradient)]
     return GaussianObservable._make(_sum_of_products(f.dim, jobs), f.rate)
 
 

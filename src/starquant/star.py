@@ -280,6 +280,7 @@ def _combine(tables: list[Table]) -> Iterator[Entry]:
     """Product over two or more dimensions of 1-d tables, over the product of
     their D, entry by entry: only the product of all but the last is held."""
     head = tables[0][1]
+    # dim 2 uses tables[0] as is: a product-built head made assoc about 15% slower
     if len(tables) > 2:
         # each key of the head is built once, by product, from its
         # per-dimension parts: growing it one dimension at a time costs time

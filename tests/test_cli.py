@@ -672,14 +672,17 @@ def test_solve1d_one_row_file_counts_samples(tmp_path, capsys):
     (["star", "q", "p"], "--envelope", "-1/2"),
     (SOLVE1D_ARGV[:-2], "--bc", "-1/2"),
     (SOLVE1D_ARGV[:-2], "--bc", "-1/2+3*i"),
-    (SOLVE1D_ARGV[:-2], "--bc", "-1-i")])
+    (SOLVE1D_ARGV[:-2], "--bc", "-1-i"),
+    (["evolve", "p", "--action", "q"], "--t", "-1e-3"),
+    (["evolve", "p^3", "--action", "q^3"], "--t", "-2.5E-3"),
+    (HIERARCHY_ARGV[:-4] + HIERARCHY_ARGV[-2:], "--energy", "-1e-1")])
 def test_negative_fraction_after_a_flag_is_its_value(capsys, argv, flag, value):
     joined = run(capsys, *argv, f"{flag}={value}", "--json")
     assert joined[0] in (0, 3)
     assert run(capsys, *argv, flag, value, "--json") == joined
 
 
-@pytest.mark.parametrize("value", ["-1/2x", "-1/2+3*q", "-1/-2", "-q", "-1e-3"])
+@pytest.mark.parametrize("value", ["-1/2x", "-1/2+3*q", "-1/-2", "-q", "-1e"])
 def test_other_dashed_words_after_a_flag_stay_flags(capsys, value):
     code, out, err = run(capsys, "evolve", "p", "--action", "q", "--t", value)
     assert (code, out) == (2, "")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +17,7 @@ from starquant import (ActionData, GaussianObservable, IntegralValue,
                        pi0, pi1, star, star_commutator, t_operator_apply)
 
 from starquant.evolution import _exp_source, _source_apply
+from starquant.wkb import eigenproblem_hierarchy, hj_residual
 
 from conftest import base_polynomials, polynomials, real_scalars
 from oracles import picard_evolve, reference_source_apply, reference_substitute_momenta
@@ -103,7 +105,7 @@ P1_3, P2_3, P3_3 = (PhasePolynomial.coordinate_p(k, 3) for k in range(3))
 S_3D = Q1_3 ** 3 * Q2_3 + Q2_3 * Q2_3 * Q3_3 - Q1_3 * Q3_3 * Fraction(1, 2)
 
 
-def test_gradient_powers_grow_in_either_order():
+def test_shared_action_flows_agree_in_either_order():
     high = obs(P1_3 ** 6 * P2_3 ** 2 + Q1_3 * P3_3 ** 4)
     low = obs(P1_3 * P2_3 ** 3 - Q2_3 * P3_3)
     t = Fraction(-2, 3)
@@ -112,8 +114,24 @@ def test_gradient_powers_grow_in_either_order():
         shared = ActionData(S_3D)
         got = {j: fiber_flow((high, low)[j], t, shared) for j in order}
         assert [got[0], got[1]] == fresh
-        # the powers reach the highest p_k-degree flowed, and no further
-        assert [len(pw) - 1 for pw in shared._powers] == [6, 3, 4]
+
+
+def test_action_data_is_unchanged_by_the_calls_that_read_it():
+    s = ActionData(S_3D)
+    before = {name: getattr(s, name) for name in ActionData.__slots__}
+    copies = {name: copy.deepcopy(value) for name, value in before.items()}
+    f = obs(P1_3 ** 4 * P2_3 + Q3_3 * P3_3 ** 3 - P2_3 ** 2)
+    evolve(f, Fraction(-2, 3), s)
+    fiber_flow(f, 2, s)
+    pi1(obs(P1_3 * P2_3 + Q1_3), s)
+    # H = |p|^2/2 - |dS|^2/2 solves the Hamilton-Jacobi equation at E = 0
+    ham = sum((p * p - g * g for p, g in zip((P1_3, P2_3, P3_3), s.gradient)),
+              PhasePolynomial.zero(3)) * Fraction(1, 2)
+    assert hj_residual(ham, s, 0).is_zero()
+    eigenproblem_hierarchy(ham, s, 0, 2)
+    after = {name: getattr(s, name) for name in ActionData.__slots__}
+    assert all(after[name] is before[name] for name in before)
+    assert after == copies
 
 
 def test_threads_evolving_on_one_action_agree_with_serial_runs():
