@@ -37,7 +37,7 @@ from typing import Callable
 from .errors import DimensionMismatch
 from .gns import SchrodingerOperator, gelfand_member0, omega0, pi0
 from .observables import (GaussianObservable, Observable, PhasePolynomial, _leibniz_terms,
-                          _sum_of_products)
+                          _Numerators, _sum_of_products)
 from .scalars import IntegralValue, Rat
 
 
@@ -77,7 +77,7 @@ def fiber_flow(f: Observable, t: Rat, s: ActionData) -> GaussianObservable:
     """Pull back along the fiber translation p_k -> p_k - t d_k S."""
     obs = GaussianObservable.of(f)
     _check_dims(obs, s)
-    return obs.substitute_momenta([g.scale(-Fraction(t)) for g in s.gradient])
+    return GaussianObservable._make(obs.body._shift_momenta(s.gradient, -Fraction(t)), obs.rate)
 
 
 def _fiber_apply(f: GaussianObservable, s: ActionData) -> GaussianObservable:
@@ -96,11 +96,11 @@ def _source_apply(f: GaussianObservable, s: ActionData) -> GaussianObservable:
     if min(f.degree_p(), s.action.degree_q()) < 3:  # R starts at order 3
         return GaussianObservable.zero(f.dim)
     jobs = []
-    for a, ds, df, w in _leibniz_terms(s.action, f, [(j, False) for j in range(f.dim)]):
+    for a, ds, df, w in _leibniz_terms(_Numerators.of(s.action), _Numerators.of(f),
+                                       [(j, False) for j in range(f.dim)]):
         b = sum(a)
         if b >= 3 and b % 2:  # i^(b+1) / (2^(b-1) a!) lambda^(b-1); i^(b+1) = b % 4 - 2
-            jobs.append((b - 1, b % 4 - 2, 0, w << (b - 1), ds._numerators(),
-                         df.body._numerators()))
+            jobs.append((b - 1, b % 4 - 2, 0, w << (b - 1), ds.parts[0], df.parts[0]))
     return GaussianObservable._make(_sum_of_products(f.dim, jobs), f.rate)
 
 

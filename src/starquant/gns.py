@@ -31,9 +31,9 @@ from typing import Mapping, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, NonIntegrable, NotInIdeal
 from .observables import (GaussianObservable, Observable, PhasePolynomial, TermKey,
-                          _compositions, _leibniz_terms, _sum_of_products)
+                          _compositions, _leibniz_terms, _Numerators, _sum_of_products)
 from .scalars import I, IntegralValue, LaurentSeries, Rat, Scalar, i_power
-from .star import s_map, star
+from .star import _s_map_zero_section, s_map, star
 
 OpKey = tuple[int, tuple[int, ...]]
 
@@ -133,17 +133,23 @@ def inner0_factorized(f: Observable, g: Observable) -> IntegralValue:
     """Same form computed through the symmetrization map.
 
     The star product never enters: both arguments are pushed to base
-    functions first and the result is a plain weighted L^2 pairing.
+    functions first and the result is a plain weighted L^2 pairing.  Each
+    side sums only the p-free slice of its symmetrization-map tables, the
+    part that survives restriction to the zero section.
     """
     fo, go = GaussianObservable.of(f), GaussianObservable.of(g)
-    left = s_map(fo.conjugate(), "backward").restrict_zero_section()
-    right = s_map(go, "forward").restrict_zero_section()
+    left = _s_map_zero_section(fo.conjugate(), "backward")
+    right = _s_map_zero_section(go, "forward")
     return omega0(left * right)
 
 
 def project_H0(f: Observable) -> GaussianObservable:
-    """Orthogonal projection of f onto the base-function realization."""
-    return s_map(f, "forward").restrict_zero_section()
+    """Orthogonal projection of f onto the base-function realization.
+
+    That is S f restricted to the zero section; only the p-free slice of
+    the symmetrization map's tables is summed, never the whole of S f.
+    """
+    return _s_map_zero_section(f, "forward")
 
 
 def gelfand_member0(f: Observable) -> bool:
@@ -296,8 +302,9 @@ def op_compose(a: SchrodingerOperator, b: SchrodingerOperator) -> SchrodingerOpe
     envelope of sigma_b, and envelope rates add.
     """
     a._check(b)
-    jobs = [(0, 1, 0, w, da.body._numerators(), db.body._numerators()) for _, da, db, w in
-            _leibniz_terms(a.symbol, b.symbol, [(j, True) for j in range(a.dim)])]
+    jobs = [(0, 1, 0, w, da.parts[0], db.parts[0]) for _, da, db, w in
+            _leibniz_terms(_Numerators.of(a.symbol), _Numerators.of(b.symbol),
+                           [(j, True) for j in range(a.dim)])]
     return SchrodingerOperator._of(GaussianObservable._make(
         _sum_of_products(a.dim, jobs), a.rate + b.rate))
 

@@ -25,10 +25,18 @@ The product, operator composition, the odd-order tail of the flow, the
 phase derivative and the phase star all call it.  The momentum
 substitution (``PhasePolynomial.substitute_momenta``) shifts one p_k at a
 time: it calls ``_products`` once per momentum, on powers of the shift
-built the same way, and reduces once at the end.  Two sums keep their
-own pass: the star kernel's ``star._sum`` rotates by i^n, filters by
-order, prices entries against the byte budget and pauses the collector,
-so sharing would make the routine branch on its caller; the flat state
+built the same way, and reduces once at the end.  The fiber flow shifts
+by c*u_k with c = -t: c^j goes into the weight of the job against u_k^j,
+so no scaled shift is built, and the j = 0 group, the terms as they are,
+is added straight into the sum over its common denominator instead of
+being multiplied by 1.  The Leibniz enumerator (``_leibniz_terms``) of
+operator composition, the odd-order tail and the phase star runs on
+``_Numerators``: numerator pairs whose derivatives are integer steps
+(the envelope and phase rules included) that reduce nothing, and that
+``_products`` takes as they are.  Two sums keep their own pass: the
+star kernel's ``star._sum`` rotates by i^n, filters by order, prices
+entries against the byte budget and pauses the collector, so sharing
+would make the routine branch on its caller; the flat state
 ``gns.omega0`` weighs scalar moments and forms no products.
 
 Public constructors validate; arithmetic results skip the checks.
@@ -75,7 +83,8 @@ def _leibniz_terms(left, right, slots: Sequence[tuple[int, bool]]) -> list:
     once.  The momentum side is differentiated first and a branch ends
     when it vanishes, so a factor whose q-derivatives never vanish (an
     envelope, a phase) costs no step past it.  Duck-typed over
-    ``diff_p``, ``diff_q`` and ``is_zero``.
+    ``diff_p``, ``diff_q`` and ``is_zero``: the library passes
+    ``_Numerators``, the test oracles reduced observables and symbols.
     """
     if left.is_zero() or right.is_zero():
         return []
@@ -127,6 +136,86 @@ def _sum_of_products(dim: int, jobs: Sequence[tuple]) -> "PhasePolynomial":
     """``_products`` with each output coefficient reduced once."""
     common, acc = _products(jobs)
     return PhasePolynomial._from_numerators(dim, acc, common)
+
+
+class _Numerators:
+    """An observable or a phase symbol as unreduced numerator pairs, for
+    ``_leibniz_terms``.
+
+    ``parts[tau]`` is the ``_numerators()`` pair of the amplitude of
+    e^{i tau S/lambda} (tau = 0 for an observable), all under the envelope
+    exp(-(rn/rd) |q|^2).  Derivatives are integer steps on the pairs and
+    reduce nothing, so ``_products`` takes them as they are; an empty
+    part is dropped, which makes ``is_zero`` exact.  ``grads`` holds the
+    pairs of d_k S for the phase rule; a phase form has no envelope.
+    """
+
+    __slots__ = ("parts", "rn", "rd", "grads")
+
+    def __init__(self, parts: dict, rate: Fraction = _NO_RATE, grads: Sequence = ()):
+        self.parts = parts
+        self.rn, self.rd = rate.numerator, rate.denominator
+        self.grads = grads
+
+    @staticmethod
+    def of(f: "Observable") -> "_Numerators":
+        obs = GaussianObservable.of(f)
+        return _Numerators({0: obs.body._numerators()} if obs.body.terms else {}, obs.rate)
+
+    def _with(self, parts: dict) -> "_Numerators":
+        out = object.__new__(_Numerators)
+        out.parts, out.rn, out.rd, out.grads = parts, self.rn, self.rd, self.grads
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.parts
+
+    def diff_p(self, index: int) -> "_Numerators":
+        parts = {}
+        for tau, (den, nums) in self.parts.items():
+            out = {}
+            for (k, alpha, beta), (re, im) in nums.items():
+                e = beta[index]
+                if e:
+                    out[k, alpha, beta[:index] + (e - 1,) + beta[index + 1:]] = (re * e, im * e)
+            if out:
+                parts[tau] = (den, out)
+        return self._with(parts)
+
+    def diff_q(self, index: int) -> "_Numerators":
+        rn, rd, parts = self.rn, self.rd, {}
+        for tau, (den, nums) in self.parts.items():
+            if tau:  # plus i tau lambda^-1 (d_k S) amp from the phase factor
+                top, acc = _products(((-1, 0, tau.numerator, tau.denominator, (den, nums),
+                                       self.grads[index]),))
+                m = top // den
+            else:  # over den * rd: the envelope's -2 (rn/rd) q_k comes in below
+                top, acc, m = den * rd, {}, rd
+            for (k, alpha, beta), (re, im) in nums.items():
+                e = alpha[index]
+                if e:
+                    key, e = (k, alpha[:index] + (e - 1,) + alpha[index + 1:], beta), e * m
+                    slot = acc.get(key)
+                    if slot is None:
+                        acc[key] = [re * e, im * e]
+                    else:
+                        slot[0] += re * e
+                        slot[1] += im * e
+            if rn:
+                w = -2 * rn
+                for (k, alpha, beta), (re, im) in nums.items():
+                    key = (k, alpha[:index] + (alpha[index] + 1,) + alpha[index + 1:], beta)
+                    slot = acc.get(key)
+                    if slot is None:
+                        acc[key] = [re * w, im * w]
+                    else:
+                        slot[0] += re * w
+                        slot[1] += im * w
+            if tau or rn:  # the two rules may cancel
+                acc = {key: v for key, v in acc.items() if v[0] or v[1]}
+            if acc:
+                parts[tau] = (top, acc)
+        return self._with(parts)
 
 
 class PhasePolynomial:
@@ -390,25 +479,46 @@ class PhasePolynomial:
             self._check_dim(u)
             if not u.is_base_only():
                 raise ValueError("momentum substitution requires base-only shifts")
+        return self._shift_momenta(shifts, 1)
+
+    def _shift_momenta(self, shifts: Sequence["PhasePolynomial"], c: Rat) -> "PhasePolynomial":
+        """``substitute_momenta`` of the shifts c*u_k, unchecked.
+
+        c^j goes into the weight of the job against u_k^j, so the scaled
+        shifts are never built.  The j = 0 group is added straight into the
+        sum, over its common denominator.
+        """
+        c = _frac(c)
+        if not c:
+            return self
+        cn, cd = c.numerator, c.denominator
         den, nums = self._numerators()
-        unit = (1, {(0, (0,) * self.dim, (0,) * self.dim): (1, 0)})
         for k, u in enumerate(shifts):
             if u.is_zero():
                 continue
-            groups = {0: nums}
+            groups: dict[int, dict] = {}
             for (lam, alpha, beta), (re, im) in nums.items():
                 e, w = beta[k], 1
                 for j in range(1, e + 1):
                     w = w * (e - j + 1) // j  # C(e, j)
                     groups.setdefault(j, {})[lam, alpha, beta[:k] + (e - j,) + beta[k + 1:]] = (
                         re * w, im * w)
-            if len(groups) == 1:
+            if not groups:
                 continue
-            powers = [unit, u._numerators()]
-            while len(powers) < len(groups):
+            powers = [None, u._numerators()]  # powers[j] is u_k^j
+            while len(powers) <= len(groups):
                 powers.append(_products(((0, 1, 0, 1, powers[-1], powers[1]),)))
-            den, nums = _products([(0, 1, 0, 1, (den, group), powers[j])
-                                   for j, group in groups.items()])
+            common, acc = _products([(0, cn ** j, 0, cd ** j, (den, group), powers[j])
+                                     for j, group in groups.items()])
+            t = common // den  # every job's denominator is a multiple of den
+            for key, (re, im) in nums.items():
+                slot = acc.get(key)
+                if slot is None:
+                    acc[key] = [re * t, im * t]
+                else:
+                    slot[0] += re * t
+                    slot[1] += im * t
+            den, nums = common, acc
         return PhasePolynomial._from_numerators(self.dim, nums, den)
 
     # -- ordering, equality, display ----------------------------------

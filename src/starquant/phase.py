@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 from .errors import DimensionMismatch, PhaseMismatch
 from .evolution import ActionData
 from .observables import (GaussianObservable, PhasePolynomial, _leibniz_terms,
-                          _sum_of_products)
+                          _Numerators, _sum_of_products)
 from .scalars import Rat, Scalar, i_power
 
 
@@ -104,7 +104,11 @@ class PhaseSymbol:
 
     def pointwise_mul(self, other: "PhaseSymbol") -> "PhaseSymbol":
         self._check(other)
-        return _per_phase(self.s, ((0, 1, 0, 1, self, other),))
+        return _per_phase(self.s, ((0, 1, 0, 1, self._numerators(), other._numerators()),))
+
+    def _numerators(self) -> dict[Fraction, tuple[int, dict]]:
+        """{tau: the ``_numerators()`` pair of the amplitude of tau}."""
+        return {tau: amp._numerators() for tau, amp in self.terms.items()}
 
     def diff_q(self, index: int) -> "PhaseSymbol":
         grad, out = self.s.gradient[index], {}
@@ -163,14 +167,12 @@ def _as_symbol(x: "PhaseSymbol | PhasePolynomial | GaussianObservable",
 
 def _per_phase(s: ActionData, pairs: Iterable[tuple]) -> PhaseSymbol:
     """The sum over pairs (k, re, im, den, f, g) of lambda^k (re + i*im)/den
-    times the amplitude products of the symbols f and g, one
-    ``_sum_of_products`` per phase t1 + t2."""
+    times the amplitude products of f and g, two symbols given as
+    {tau: numerator pair}, one ``_sum_of_products`` per phase t1 + t2."""
     jobs: dict[Fraction, list] = {}
     for k, re, im, den, f, g in pairs:
-        rights = [(t2, a2._numerators()) for t2, a2 in g.terms.items()]
-        for t1, a1 in f.terms.items():
-            n1 = a1._numerators()
-            for t2, n2 in rights:
+        for t1, n1 in f.items():
+            for t2, n2 in g.items():
                 jobs.setdefault(t1 + t2, []).append((k, re, im, den, n1, n2))
     return PhaseSymbol._from_clean(
         s, {tau: _sum_of_products(s.dim, js) for tau, js in jobs.items()})
@@ -193,11 +195,14 @@ def phase_star(f: "PhaseSymbol | PhasePolynomial | GaussianObservable",
     # delta = (a, c) pairs d_q^a d_p^c f with d_p^a d_q^c g, weighted
     # (i lambda/2)^b (-1)^|c| / (a! c!) with b = |a| + |c|
     slots = [(j, False) for j in range(n)] + [(j, True) for j in range(n)]
+    grads = [g._numerators() for g in fs.s.gradient]
     pairs = []
-    for delta, left, right, w in _leibniz_terms(fs, gs, slots):
+    for delta, left, right, w in _leibniz_terms(_Numerators(fs._numerators(), grads=grads),
+                                                _Numerators(gs._numerators(), grads=grads),
+                                                slots):
         b = sum(delta)
         rot, sign = i_power(b), (-1) ** sum(delta[n:])
-        pairs.append((b, sign * rot.re_num, sign * rot.im_num, w << b, left, right))
+        pairs.append((b, sign * rot.re_num, sign * rot.im_num, w << b, left.parts, right.parts))
     return _per_phase(fs.s, pairs)
 
 

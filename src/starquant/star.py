@@ -56,6 +56,7 @@ dimensions would hold more than MAX_COMBINED bytes, before any is combined.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 from math import factorial, gcd, lcm, log2
@@ -429,5 +430,34 @@ def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
     jobs = [(k, c.re_num, c.im_num, c.den,
              [_s_table(alpha[j], beta[j], rk, sign) for j in range(obs.dim)])
             for (k, alpha, beta), c in obs.body.terms.items()]
+    return GaussianObservable._make(_sum(obs.dim, "the symmetrization map", jobs, width),
+                                    obs.rate)
+
+
+def _s_map_zero_section(f: Observable, direction: str) -> GaussianObservable:
+    """``s_map(f, direction).restrict_zero_section()``, summing only the
+    p-free entries of each term's tables.
+
+    An entry of order n of the table of q^a p^b holds p^(b - n), so the
+    p-free ones are those of order b, the sorted table's last.  A term
+    with none in some dimension (no envelope and a < b) is dropped before
+    the sum.  The work is priced as s_map prices it.
+    """
+    obs = GaussianObservable.of(f)
+    rk = obs.rate.numerator, obs.rate.denominator
+    width = _check_work("the symmetrization map", (
+        _price((a, b, rk)) for pairs in _exponent_pairs(obs) for a, b in pairs))
+    sign = -1 if direction == "forward" else 1
+    jobs = []
+    for (k, alpha, beta), c in obs.body.terms.items():
+        tables = []
+        for a, b in zip(alpha, beta):
+            den, entries = _s_table(a, b, rk, sign)
+            entries = entries[bisect_left(entries, (b,)):]
+            if not entries:
+                break
+            tables.append((den, entries))
+        else:
+            jobs.append((k, c.re_num, c.im_num, c.den, tables))
     return GaussianObservable._make(_sum(obs.dim, "the symmetrization map", jobs, width),
                                     obs.rate)

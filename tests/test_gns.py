@@ -15,7 +15,7 @@ from starquant import (BudgetExceeded, DimensionMismatch, GaussianObservable, In
                        SchrodingerOperator, conjugate, gaussian_moment,
                        gelfand_member0, inner0, inner0_factorized,
                        laurent_is_positive, momenta_decompose, omega0,
-                       op_apply_base, op_compose, pi0, project_H0, star,
+                       op_apply_base, op_compose, pi0, project_H0, s_map, star,
                        weyl_check, weyl_symmetrize_oracle)
 from starquant.gns import MAX_MOMENT_EXPONENT, MAX_WEYL_MONOMIALS, MAX_WORD_LENGTH
 
@@ -345,3 +345,14 @@ def test_omega0_budget_order_matches_the_fraction_route():
     for route in (omega0, reference_omega0):
         with pytest.raises(BudgetExceeded):
             route(refused)
+
+
+def test_projection_sums_only_the_p_free_slice():
+    # s_map holds 11^6 combined entries here, past the byte budget; the
+    # projection holds one: per dimension (-i lambda/2)^10 / 10! (10)_10 10!
+    f = obs(PhasePolynomial.monomial(6, 0, (10,) * 6, (10,) * 6))
+    with pytest.raises(BudgetExceeded, match="table entries"):
+        s_map(f)
+    weight = Fraction(-math.factorial(10), 2 ** 10)
+    assert project_H0(f) == obs(PhasePolynomial.lam(6, 60, weight ** 6))
+    assert not gelfand_member0(f)

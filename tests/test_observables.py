@@ -11,7 +11,7 @@ from starquant import (ActionData, DimensionMismatch, EnvelopeMismatch, Gaussian
                        restrict_zero_section, s_map, star, star_commutator,
                        substitute_momenta)
 
-from starquant.observables import _sum_of_products
+from starquant.observables import _Numerators, _sum_of_products
 
 from conftest import base_polynomials, observables, polynomials
 from oracles import reference_poly_mul, reference_substitute_momenta
@@ -273,3 +273,48 @@ def test_sum_of_products_matches_the_scaled_reference_products(case):
         assert got == want
         assert PhasePolynomial(dim, got.terms) == got
     assert got.is_zero() and not got.terms
+
+
+@given(ring_cases(), st.sampled_from([Fraction(0), Fraction(-1), Fraction(2, 3),
+                                      Fraction(-5, 2)]))
+def test_folded_shift_matches_the_scaled_shifts(case, c):
+    f, _, shifts = case
+    assert f._shift_momenta(shifts, c) == f.substitute_momenta([u.scale(c) for u in shifts])
+
+
+# -- the Leibniz enumerator's numerator pairs against reduced derivatives --
+
+def _reduced(pair: _Numerators, dim: int, rate) -> GaussianObservable:
+    (den, nums), = pair.parts.values()
+    return GaussianObservable(PhasePolynomial._from_numerators(dim, nums, den), rate)
+
+
+@given(st.data())
+def test_numerator_pair_derivatives_match_the_reduced_ones(data):
+    dim = data.draw(st.integers(1, 3))
+    rate = data.draw(RATES)
+    f = data.draw(observables(dim, rate, max_terms=3, max_degree=3, min_lambda=-1,
+                              max_lambda=1))
+    steps = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, dim - 1)),
+                               max_size=6))
+    pair, want = _Numerators.of(f), f
+    assert pair.is_zero() == want.is_zero()
+    for momentum, k in steps:
+        if want.is_zero():
+            break
+        pair = pair.diff_p(k) if momentum else pair.diff_q(k)
+        want = want.diff_p(k) if momentum else want.diff_q(k)
+        assert pair.is_zero() == want.is_zero()
+        if not want.is_zero():
+            assert _reduced(pair, dim, rate) == want
+
+
+def test_numerator_pair_envelope_rule_cancels_to_zero_terms():
+    # d/dq ((q^2 + 1/r) e^{-r q^2}) = -2 r q^3 e^{-r q^2}: the q terms cancel
+    r = Fraction(2, 3)
+    f = GaussianObservable(Q * Q + PhasePolynomial.constant(1, 1 / r), r)
+    d = _Numerators.of(f).diff_q(0)
+    (_, nums), = d.parts.values()
+    assert list(nums) == [(0, (3,), (0,))]
+    assert _reduced(d, 1, r) == GaussianObservable(Q ** 3 * (-2 * r), r)
+    assert _Numerators.of(GaussianObservable(P, r)).diff_p(0).diff_p(0).is_zero()

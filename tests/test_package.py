@@ -79,3 +79,13 @@ def test_ab_bench_compare_verdicts():
     # one change run tied with a parent run leaves the spread unresolved
     touching = compare(parent, [130.0] + [140.0] * 9, "higher", 0.1)
     assert touching["unresolved"]
+
+
+def test_ab_inprocess_script_runs_a_against_itself():
+    repo = str(SCRIPTS.parent)
+    done = run_script("ab_inprocess.py", repo, repo, "--workload", "transport",
+                      "--rounds", "1", "--cycles", "1")
+    assert done.returncode == 0, done.stderr
+    assert "round 1/1" in done.stdout
+    assert "transport: B/A median" in done.stdout
+    assert "failed ops A 0, B 0" in done.stdout

@@ -12,6 +12,8 @@ from starquant import (ActionData, DimensionMismatch, GaussianObservable, PhaseP
                        PhaseMismatch, PhaseSymbol, Scalar, conjugate_by_phase,
                        evolve, phase_star)
 
+from starquant.observables import _Numerators
+
 from conftest import base_polynomials, polynomials, real_scalars
 from oracles import picard_evolve, reference_phase_star, reference_poly_mul, reference_star
 from test_star import random_polynomial
@@ -264,3 +266,40 @@ def test_phase_route_and_evolution_never_call_the_star_kernel(monkeypatch):
     for (h, s, t), expect in zip(cases, want):
         assert conjugate_by_phase(h, s, t) == expect
         assert evolve(GaussianObservable(h), t, s).body == expect
+
+
+# -- the phase form of the Leibniz numerator pairs ------------------------
+
+def _symbol(pair: _Numerators, s: ActionData) -> PhaseSymbol:
+    return PhaseSymbol(s, {tau: PhasePolynomial._from_numerators(s.dim, nums, den)
+                           for tau, (den, nums) in pair.parts.items()})
+
+
+def _phase_form(f: PhaseSymbol) -> _Numerators:
+    return _Numerators(f._numerators(), grads=[g._numerators() for g in f.s.gradient])
+
+
+@given(phase_pairs(), st.data())
+@settings(max_examples=40)
+def test_numerator_pair_phase_derivatives_match_the_symbol_ones(pair, data):
+    f, _ = pair
+    steps = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, f.dim - 1)),
+                               max_size=5))
+    nums, want = _phase_form(f), f
+    for momentum, k in steps:
+        nums = nums.diff_p(k) if momentum else nums.diff_q(k)
+        want = want.diff_p(k) if momentum else want.diff_q(k)
+        assert nums.is_zero() == want.is_zero()
+        assert _symbol(nums, f.s) == want
+
+
+def test_numerator_pair_phase_rule_cancels_to_zero_terms():
+    # amp = lambda q^2 + 2i lambda^2 under e^{i S/lambda}, S = q^2/2:
+    # d/dq amp + i lambda^-1 q amp = 2 lambda q + i q^3 - 2 lambda q
+    lam = PhasePolynomial.lam(1)
+    f = PhaseSymbol(S_QUAD, {Fraction(1): lam * Q * Q + PhasePolynomial.lam(1, 2, 2 * I)})
+    d = _phase_form(f).diff_q(0)
+    (_, nums), = d.parts.values()
+    assert list(nums) == [(0, (3,), (0,))]
+    assert _symbol(d, S_QUAD) == PhaseSymbol(S_QUAD, {Fraction(1): (Q ** 3).scale(I)})
+    assert _symbol(d, S_QUAD) == f.diff_q(0)

@@ -200,6 +200,41 @@ def test_kernel_s_map_matches_reference(f):
         assert s_map(f, direction) == reference_s_map(f, direction)
 
 
+# -- the p-free slice of the symmetrization map -------------------------
+
+SLICE_RATES = st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1, 2])
+
+
+@st.composite
+def slice_inputs(draw):
+    """An observable in dims 1-3 plus one term whose p-degree passes its
+    q-degree in some dimension, so that without an envelope it drops."""
+    dim = draw(st.integers(1, 3))
+    rate = draw(SLICE_RATES)
+    f = draw(observables(dim, rate, max_terms=3, max_degree=4 - dim, min_lambda=-1,
+                         max_lambda=2))
+    alpha = draw(st.tuples(*([st.integers(0, 2)] * dim)))
+    j = draw(st.integers(0, dim - 1))
+    beta = tuple(a + draw(st.integers(1, 2)) if i == j else draw(st.integers(0, 2))
+                 for i, a in enumerate(alpha))
+    k = draw(st.integers(-1, 2))
+    return f + GaussianObservable(PhasePolynomial.monomial(dim, k, alpha, beta, 3), rate)
+
+
+@given(slice_inputs(), st.sampled_from(["forward", "backward"]))
+@settings(max_examples=80)
+def test_p_free_slice_matches_the_restricted_s_map(f, direction):
+    assert (kernel._s_map_zero_section(f, direction)
+            == s_map(f, direction).restrict_zero_section())
+
+
+def test_p_free_slice_drops_terms_without_an_entry_of_order_b():
+    assert kernel._s_map_zero_section(obs(Q * P * P), "forward").is_zero()
+    assert kernel._s_map_zero_section(obs(Q * P * P + Q), "backward") == obs(Q)
+    # an envelope gives every order an entry
+    assert not kernel._s_map_zero_section(obs(Q * P * P, 1), "forward").is_zero()
+
+
 # -- the integer tables and the common denominator ----------------------
 
 TABLE_RATES = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(3)])
