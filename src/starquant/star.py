@@ -45,7 +45,10 @@ The symmetrization map S = exp(-(i*lambda/2) Delta) with
 Delta = sum_k d^2/(dq^k dp_k) intertwines the two orderings used by the
 state constructions; its inverse is the conjugate map with the opposite
 sign.  Per dimension it is sum_{m <= b} (-+i*lambda/2)^m/m! (b)_m
-p^(b-m) P(a, m, r).
+p^(b-m) P(a, m, r).  Its restriction to the zero section, which the
+projection and the factorized inner product of ``gns`` need, keeps only
+the order m = b of each table, so ``_s_map_zero_section`` sums that
+slice of the same cached tables and nothing else.
 
 Both refuse an input whose tables would cost more than MAX_TABLE_WORK,
 counted from the exponents alone (products, entries and a bound on their
