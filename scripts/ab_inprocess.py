@@ -7,7 +7,8 @@ A and B are directories that each hold a checkout with ``src/`` and
 ``starquant`` package and ``bench/workloads.py`` are imported under their
 usual names and then set aside, and a side's modules are put back in
 ``sys.modules`` before each of its ops, so an import made at call time
-finds its own side.  Both sides build the same seeded op stream.  In
+finds its own side; a module a side first imports during an op (a lazily
+loaded ``starquant.wkb``) joins that side's set, so it loads once.  Both sides build the same seeded op stream.  In
 every round op i of each side runs back to back, the side that goes
 first alternating with i and with the round, and the round's ratio is
 B's summed op time over A's.  The script prints every round's ratio and
@@ -36,6 +37,11 @@ def _swap_in(modules: dict) -> None:
     for name in [name for name in sys.modules if _ours(name)]:
         del sys.modules[name]
     sys.modules.update(modules)
+
+
+def _keep_new(modules: dict) -> None:
+    """Add to a side's set the modules it imported since it was swapped in."""
+    modules.update((name, mod) for name, mod in sys.modules.items() if _ours(name))
 
 
 def load(root: str):
@@ -80,6 +86,7 @@ def main() -> int:
             _swap_in(modules)
             ops, _ = workloads.make_ops(args.workload, args.seed, args.cycles,
                                         os.path.abspath(root), scratch)
+            _keep_new(modules)
             sides.append((modules, ops))
         if len(sides[0][1]) != len(sides[1][1]):
             raise SystemExit("the two checkouts build op streams of different lengths")
@@ -88,6 +95,7 @@ def main() -> int:
             _swap_in(modules)
             if run_op(ops[0]):
                 failed[side] += 1
+            _keep_new(modules)
         ratios = []
         for r in range(args.rounds):
             spent = [0.0, 0.0]
@@ -98,6 +106,7 @@ def main() -> int:
                     t0 = perf_counter()
                     why = run_op(ops[i])
                     spent[side] += perf_counter() - t0
+                    _keep_new(modules)
                     if why:
                         failed[side] += 1
                         print(f"side {'AB'[side]} op {i} ({ops[i].label}): {why}",

@@ -23,12 +23,27 @@ from .phase import PhaseSymbol, conjugate_by_phase, phase_star
 from .scalars import (IntegralValue, LaurentSeries, Scalar, i_power,
                       laurent_is_positive)
 from .star import bidiff_M, s_map, star, star_commutator
-from .wkb import (GridFunction1D, ResidualReport, TransportHierarchy,
-                  WKBSolution, eigenproblem_hierarchy, fornberg_weights,
-                  hj_residual, physical_transport_equation, solve_transport_1d,
-                  transport_residuals_1d, verify_eigen_residual)
 
 __version__ = "0.1.0"
+
+# The names of wkb, which imports numpy, load on first use (PEP 562), so
+# `import starquant` and the exact commands start without numpy.
+_WKB_NAMES = frozenset((
+    "GridFunction1D", "ResidualReport", "TransportHierarchy", "WKBSolution",
+    "eigenproblem_hierarchy", "fornberg_weights", "hj_residual",
+    "physical_transport_equation", "solve_transport_1d", "transport_residuals_1d",
+    "verify_eigen_residual"))
+
+
+def __getattr__(name):
+    if name in _WKB_NAMES:
+        from . import wkb
+        return getattr(wkb, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _WKB_NAMES)
 
 __all__ = [
     "ActionData", "BudgetExceeded", "DimensionMismatch", "EnvelopeMismatch",

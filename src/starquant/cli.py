@@ -22,8 +22,6 @@ import sys
 import warnings
 from fractions import Fraction
 
-import numpy as np
-
 from . import render
 from .errors import BudgetExceeded, GridTooCoarse, StarquantError
 from .evolution import ActionData, evolve, gelfand_member1, omega1, pi1
@@ -35,8 +33,6 @@ from .parsing import (ObservableParseError, parse_complex_constant,
 from .phase import conjugate_by_phase
 from .scalars import IntegralValue
 from .star import s_map, star, star_commutator
-from .wkb import (MIN_SAMPLES, GridFunction1D, WKBSolution, _eval_base_poly,
-                  eigenproblem_hierarchy, solve_transport_1d, transport_residuals_1d)
 
 # Largest `wkb solve1d --samples`: past it the 4th-order second-derivative
 # stencil's roundoff, about eps/h^2 on a unit interval, exceeds 1e-4, and
@@ -44,9 +40,9 @@ from .wkb import (MIN_SAMPLES, GridFunction1D, WKBSolution, _eval_base_poly,
 MAX_SAMPLES = 2 ** 20
 # Most grid values one `wkb solve1d` may write: order + 1 amplitude grids
 # of samples + 2 * pad values each.  It admits MAX_SAMPLES at order 0,
-# 1048584 values, which write 51.6 MB of JSON at 341 MB peak RSS (Python
-# 3.11); the output would otherwise grow as order^2 through the
-# order-dependent pad.
+# 1048584 values, which write 51.6 MB of JSON at 135 MB peak RSS (Python
+# 3.11, numpy 2.4; the grids are written a slice at a time); the output
+# would otherwise grow as order^2 through the order-dependent pad.
 MAX_GRID_VALUES = 2 ** 21
 # Largest --dim of a command that parses operands: every term of every
 # operand and result carries two exponent tuples of dim entries, a cost no
@@ -211,6 +207,10 @@ def _cmd_phase_conj(args):
 
 
 def _cmd_wkb_hierarchy(args):
+    # wkb imports numpy: the two wkb handlers import it when they run, so
+    # the exact commands start without numpy
+    from .wkb import eigenproblem_hierarchy
+
     ham = _poly(args, args.ham)
     s = _action(args)
     energy = parse_rational(args.energy)
@@ -221,6 +221,11 @@ def _cmd_wkb_hierarchy(args):
 
 
 def _cmd_wkb_solve1d(args):
+    import numpy as np
+
+    from .wkb import (MIN_SAMPLES, GridFunction1D, WKBSolution, _eval_base_poly,
+                      solve_transport_1d, transport_residuals_1d)
+
     a, b = args.interval
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("interval endpoints must be finite")
@@ -400,7 +405,10 @@ def main(argv=None) -> int:
     except (StarquantError, ValueError) as exc:
         return _emit_error(exc, 3)
     if args.json:
-        sys.stdout.write(render.dumps(payload))
+        # each chunk is written as it is made: the text is never held whole
+        write = sys.stdout.write
+        for chunk in render.json_chunks(payload):
+            write(chunk)
     else:
         sys.stdout.write(pretty + "\n")
     return 0

@@ -4,6 +4,12 @@ Pretty output for polynomials conforms to the CLI expression grammar,
 so printing and reparsing is the identity on canonical forms.  JSON
 encodes every rational as the string "num/den" and emits terms in
 canonical order, which makes output byte-reproducible.
+
+The JSON builders return payloads of dicts, lists and scalars, except
+that a grid payload holds its float arrays as they are.  ``json_chunks``
+writes a payload as a sequence of strings, an array one slice at a
+time, so neither a whole float list nor the whole text is ever built;
+``dumps`` joins the same chunks.  Neither imports numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import BudgetExceeded
 from .scalars import IntegralValue, LaurentSeries, Scalar
@@ -24,6 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 _LOG10_2 = math.log10(2)
+# Floats of a grid array per chunk: a slice lives as a Python float list
+# (32 B a value) and its text only while it is written.
+_SLICE = 4096
 
 
 def _int_str(n: int) -> str:
@@ -217,13 +226,15 @@ def operator_json(op: "SchrodingerOperator") -> dict:
 
 
 def grid_json(grid: "GridFunction1D") -> dict:
+    """The grid's payload; "re" and "im" are views of its values, which
+    ``json_chunks`` writes as float lists a slice at a time."""
     return {
         "a": grid.a,
         "b": grid.b,
         "n": grid.n,
         "pad": grid.pad,
-        "re": grid.values.real.tolist(),
-        "im": grid.values.imag.tolist(),
+        "re": grid.values.real,
+        "im": grid.values.imag,
     }
 
 
@@ -245,6 +256,48 @@ def solution_json(solution: "WKBSolution") -> dict:
     }
 
 
+def _floats(values) -> Iterator[str]:
+    """A 1-d float array as the text of json.dumps(values.tolist())."""
+    yield "["
+    for start in range(0, len(values), _SLICE):
+        if start:
+            yield ", "
+        yield json.dumps(values[start:start + _SLICE].tolist())[1:-1]
+    yield "]"
+
+
+def _chunks(value) -> Iterator[str]:
+    try:
+        text = json.dumps(value)
+    except TypeError:  # a float array inside: walk down to it
+        text = None
+    if text is not None:
+        yield text
+    elif isinstance(value, dict):  # never empty here: it holds an array
+        sep = "{"
+        for key, item in value.items():
+            yield f"{sep}{json.dumps(key)}: "
+            yield from _chunks(item)
+            sep = ", "
+        yield "}"
+    elif isinstance(value, (list, tuple)):
+        sep = "["
+        for item in value:
+            yield sep
+            yield from _chunks(item)
+            sep = ", "
+        yield "]"
+    else:
+        yield from _floats(value)
+
+
+def json_chunks(payload: dict) -> Iterator[str]:
+    """Canonical JSON text as a sequence of strings: one line, insertion
+    order, trailing newline.  A value json can encode whole is one chunk."""
+    yield from _chunks(payload)
+    yield "\n"
+
+
 def dumps(payload: dict) -> str:
-    """Canonical JSON text: one line, insertion order, trailing newline."""
-    return json.dumps(payload) + "\n"
+    """The whole canonical JSON text, the join of ``json_chunks``."""
+    return "".join(json_chunks(payload))

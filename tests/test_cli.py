@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -696,3 +698,35 @@ def test_power_past_the_work_budget_exits_3_fast(capsys):
     assert time.perf_counter() - start < 1.0
     assert_one_error_line(code, out, err, "BudgetExceeded")
     assert "term-bits" in err
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+        return len(text)
+
+
+def test_solve1d_json_is_written_without_holding_the_document(monkeypatch):
+    # 131072 samples at order 1 write 9.9 MB of JSON.  The tracemalloc peak
+    # of main is about 45 MB when the float lists and the whole text are
+    # built before the first write, and about 20 MB when the grids are
+    # written a slice at a time (Python 3.11, numpy 2.4); the bound sits
+    # between the two.
+    argv = ["wkb", "solve1d", "--sprime-expr", "q^2+q", "--interval", "1", "2",
+            "--samples", "131072", "--order", "1", "--bc", "1", "--json"]
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.count > 9_000_000
+    assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"

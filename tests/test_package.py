@@ -89,3 +89,27 @@ def test_ab_inprocess_script_runs_a_against_itself():
     assert "round 1/1" in done.stdout
     assert "transport: B/A median" in done.stdout
     assert "failed ops A 0, B 0" in done.stdout
+
+
+def test_exact_commands_load_no_numpy():
+    src = str(Path(starquant.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "import starquant\n"
+            "assert 'numpy' not in sys.modules, 'import starquant'\n"
+            "import starquant.cli\n"
+            "assert 'numpy' not in sys.modules, 'import starquant.cli'\n"
+            "code = starquant.cli.main(['star', 'q', 'p'])\n"
+            "assert 'numpy' not in sys.modules, 'starquant star q p'\n"
+            "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "q*p + i/2*lambda\n"
+
+
+def test_cli_peak_script_runs_a_against_itself():
+    repo = str(SCRIPTS.parent)
+    done = run_script("cli_peak.py", repo, repo, "--runs", "1", "--", "star", "q", "p")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("exit [0]") == 2
+    assert "stdout sha256 equal: yes" in done.stdout

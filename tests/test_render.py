@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starquant import (ActionData, BudgetExceeded, GaussianObservable, GridFunction1D,
                        IntegralValue, LaurentSeries, PhasePolynomial, Scalar,
                        SchrodingerOperator, eigenproblem_hierarchy, pi0, star)
-from starquant.render import (dumps, frac_str, grid_json, observable_json,
-                              operator_json, pretty_observable, pretty_operator,
-                              pretty_polynomial, pretty_series, pretty_value,
-                              value_json)
+from starquant.render import (_SLICE, dumps, frac_str, grid_json, json_chunks,
+                              observable_json, operator_json, pretty_observable,
+                              pretty_operator, pretty_polynomial, pretty_series,
+                              pretty_value, value_json)
 
 Q = PhasePolynomial.coordinate_q(0, 1)
 P = PhasePolynomial.coordinate_p(0, 1)
@@ -148,4 +150,35 @@ def test_grid_json_bytes_match_per_sample_floats():
     old = {"a": 0.0, "b": 1.0, "n": len(re), "pad": 0,
            "re": [float(v) for v in grid.values.real],
            "im": [float(v) for v in grid.values.imag]}
-    assert json.dumps(grid_json(grid)) == json.dumps(old)
+    assert dumps(grid_json(grid)) == json.dumps(old) + "\n"
+
+
+EDGE_FLOATS = (-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("length", [1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 7])
+@settings(max_examples=20)
+@given(pool=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_streamed_json_is_the_list_encoding_byte_for_byte(length, pool, seed):
+    """Float grids, written a slice at a time, give the bytes of json.dumps on
+    the float lists, and no chunk holds more than one slice of values."""
+    rng = np.random.default_rng(seed)
+    values = np.empty(length, dtype=complex)
+    values.real = np.array(pool)[rng.integers(len(pool), size=length)]
+    values.imag = np.array(pool)[rng.integers(len(pool), size=length)]
+    real = values.real.copy()
+
+    def grid(re, im):
+        return {"a": 0.0, "b": 1.0, "n": length, "pad": 0, "re": re, "im": im}
+
+    payload = {"sprime": grid(real, np.zeros(length)),
+               "orders": [grid(values.real, values.imag), grid(values.imag, real)],
+               "residuals": {"norms": [1e-5, 0.0], "tol": 1e-5, "passed": True}}
+    old = {"sprime": grid(real.tolist(), [0.0] * length),
+           "orders": [grid(values.real.tolist(), values.imag.tolist()),
+                      grid(values.imag.tolist(), real.tolist())],
+           "residuals": payload["residuals"]}
+    chunks = list(json_chunks(payload))
+    assert "".join(chunks) == dumps(payload) == json.dumps(old) + "\n"
+    assert max(map(len, chunks)) <= 26 * _SLICE  # a float takes at most 24 characters
