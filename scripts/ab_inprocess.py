@@ -7,8 +7,9 @@ A and B are directories that each hold a checkout with ``src/`` and
 ``starquant`` package and ``bench/workloads.py`` are imported under their
 usual names and then set aside, and a side's modules are put back in
 ``sys.modules`` before each of its ops, so an import made at call time
-finds its own side; a module a side first imports during an op (a lazily
-loaded ``starquant.wkb``) joins that side's set, so it loads once.  Both sides build the same seeded op stream.  In
+finds its own side; a module that a side first imports while it builds
+or runs its ops (a lazily loaded ``starquant.wkb``) joins that side's
+set, so it loads once.  Both sides build the same seeded op stream.  In
 every round op i of each side runs back to back, the side that goes
 first alternating with i and with the round, and the round's ratio is
 B's summed op time over A's.  The script prints every round's ratio and

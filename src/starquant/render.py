@@ -9,7 +9,7 @@ The JSON builders return payloads of dicts, lists and scalars, except
 that a grid payload holds its float arrays as they are.  ``json_chunks``
 writes a payload as a sequence of strings, an array one slice at a
 time, so neither a whole float list nor the whole text is ever built;
-``dumps`` joins the same chunks.  Neither imports numpy.
+``dumps`` joins the same chunks.  This module does not import numpy.
 """
 
 from __future__ import annotations
