@@ -4,6 +4,8 @@ Every pipeline stage is a subcommand over expressions in q, p, lambda
 and i.  Output is deterministic: --json emits canonical JSON (exact
 rationals as "num/den" strings, terms in canonical order), the default
 pretty mode prints grammar-conformant expressions that parse back.
+Each call renders only the form it prints, and pretty output is the
+same bytes on a terminal and on a pipe.
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition failure
 (turning point, Hamilton-Jacobi violation, non-member, ...).  Errors go
@@ -16,7 +18,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 import warnings
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from . import render
 from .errors import BudgetExceeded, GridTooCoarse, StarquantError
-from .evolution import ActionData, evolve, gelfand_member1, omega1, pi1
+from .evolution import ActionData, evolve, omega1, pi1
 from .gns import (gelfand_member0, inner0, momenta_decompose, omega0, pi0,
                   project_H0, weyl_check)
 from .observables import GaussianObservable, PhasePolynomial
@@ -71,16 +72,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _color_enabled() -> bool:
-    return sys.stdout.isatty() and os.environ.get("STARQUANT_COLOR") != "0"
-
-
-def _label(text: str) -> str:
-    if _color_enabled():
-        return f"\x1b[36m{text}\x1b[0m"
-    return text
-
-
 # -- shared argument plumbing ------------------------------------------
 
 
@@ -111,20 +102,20 @@ def _action(args) -> ActionData:
     return ActionData(_poly(args, args.action))
 
 
-def _out(result) -> tuple[dict, str]:
-    """The JSON payload and the pretty text of an observable, value or operator."""
+def _out(args, result) -> dict | str:
+    """The JSON payload or the pretty text of an observable, value or operator."""
     if isinstance(result, GaussianObservable):
-        return render.observable_json(result), render.pretty_observable(result)
+        return render.observable_json(result) if args.json else render.pretty_observable(result)
     if isinstance(result, IntegralValue):
-        return render.value_json(result), render.pretty_value(result)
-    return render.operator_json(result), render.pretty_operator(result)
+        return render.value_json(result) if args.json else render.pretty_value(result)
+    return render.operator_json(result) if args.json else render.pretty_operator(result)
 
 
 def _shown(call, action: bool = False):
     """A handler rendering call on the subcommand's operands, then on the action S."""
     def handler(args):
         parsed = [_obs(args, getattr(args, name)) for name in args.operands]
-        return _out(call(*parsed, *([_action(args)] if action else [])))
+        return _out(args, call(*parsed, *([_action(args)] if action else [])))
     return handler
 
 
@@ -133,24 +124,26 @@ def _shown(call, action: bool = False):
 
 def _cmd_star(args):
     # not a _shown handler: star is looked up per call, so it can be replaced
-    return _out(star(_obs(args, args.f), _obs(args, args.g)))
+    return _out(args, star(_obs(args, args.f), _obs(args, args.g)))
 
 
 def _cmd_smap(args):
-    return _out(s_map(_obs(args, args.f), "backward" if args.inverse else "forward"))
+    return _out(args, s_map(_obs(args, args.f), "backward" if args.inverse else "forward"))
 
 
 def _cmd_ideal0(args):
     f = _obs(args, args.f)
     member = gelfand_member0(f)
-    payload: dict = {"member": member}
-    lines = [f"{_label('member:')} {'yes' if member else 'no'}"]
-    if member and f.rate == 0:
-        payload["parts"] = []
-        for k, g in enumerate(momenta_decompose(f.body)):
-            payload["parts"].append({"index": k + 1, "terms": render.observable_terms_json(g)})
-            lines.append(f"g_{k + 1} = {render.pretty_polynomial(g)}")
-    return payload, "\n".join(lines)
+    parts = momenta_decompose(f.body) if member and f.rate == 0 else None
+    if args.json:
+        payload: dict = {"member": member}
+        if parts is not None:
+            payload["parts"] = [{"index": k, "terms": render.observable_terms_json(g)}
+                                for k, g in enumerate(parts, 1)]
+        return payload
+    return "\n".join([f"member: {'yes' if member else 'no'}"] +
+                     [f"g_{k} = {render.pretty_polynomial(g)}"
+                      for k, g in enumerate(parts or (), 1)])
 
 
 def _cmd_weyl_check(args):
@@ -158,38 +151,44 @@ def _cmd_weyl_check(args):
     if args.max_degree < 0:
         raise ValueError("degree must be nonnegative")
     checked, mismatches = weyl_check(args.dim, args.max_degree)
-    payload = {"dim": args.dim, "max_degree": args.max_degree, "checked": checked,
-               "mismatches": [{"q": list(alpha), "p": list(beta)}
-                              for alpha, beta in mismatches],
-               "all_equal": not mismatches}
+    if args.json:
+        return {"dim": args.dim, "max_degree": args.max_degree, "checked": checked,
+                "mismatches": [{"q": list(alpha), "p": list(beta)}
+                               for alpha, beta in mismatches],
+                "all_equal": not mismatches}
     verdict = "all equal" if not mismatches else f"{len(mismatches)} mismatches"
-    return payload, f"{_label('weyl check:')} {checked} monomials, {verdict}"
+    return f"weyl check: {checked} monomials, {verdict}"
 
 
 def _cmd_evolve(args):
     t = parse_rational(args.t)
-    return _out(evolve(_obs(args, args.f), t, _action(args)))
+    return _out(args, evolve(_obs(args, args.f), t, _action(args)))
 
 
 def _cmd_ideal1(args):
     f = _obs(args, args.f)
     s = _action(args)
-    member = gelfand_member1(f, s)
-    payload: dict = {"member": member}
-    lines = [f"{_label('member:')} {'yes' if member else 'no'}"]
+    # one pullback serves the membership test and the witness
+    pulled = evolve(f, -1, s)
+    member = gelfand_member0(pulled)
+    parts = None
     if member and f.rate == 0:
-        # constructive witness: pull back, split over the p_k, push forward
-        payload["parts"] = parts = []
-        for k, g in enumerate(momenta_decompose(evolve(f, -1, s).body)):
-            factor = evolve(GaussianObservable(g), 1, s)
-            generator = evolve(
-                GaussianObservable(PhasePolynomial.coordinate_p(k, s.dim)), 1, s)
-            parts.append({"index": k + 1,
-                          "factor": render.observable_terms_json(factor.body),
-                          "generator": render.observable_terms_json(generator.body)})
-            lines.append(f"g_{k + 1} = {render.pretty_polynomial(factor.body)}"
-                         f"   (generator {render.pretty_polynomial(generator.body)})")
-    return payload, "\n".join(lines)
+        # constructive witness: split the pullback over the p_k, push forward
+        parts = []
+        for k, g in enumerate(momenta_decompose(pulled.body)):
+            p_k = GaussianObservable(PhasePolynomial.coordinate_p(k, s.dim))
+            parts.append((evolve(GaussianObservable(g), 1, s).body, evolve(p_k, 1, s).body))
+    if args.json:
+        payload: dict = {"member": member}
+        if parts is not None:
+            payload["parts"] = [{"index": k, "factor": render.observable_terms_json(factor),
+                                 "generator": render.observable_terms_json(generator)}
+                                for k, (factor, generator) in enumerate(parts, 1)]
+        return payload
+    return "\n".join([f"member: {'yes' if member else 'no'}"] +
+                     [f"g_{k} = {render.pretty_polynomial(factor)}"
+                      f"   (generator {render.pretty_polynomial(generator)})"
+                      for k, (factor, generator) in enumerate(parts or (), 1)])
 
 
 def _cmd_phase_conj(args):
@@ -199,11 +198,10 @@ def _cmd_phase_conj(args):
     result = conjugate_by_phase(h, s, t)
     direct = evolve(GaussianObservable(h), t, s)
     matches = direct.rate == 0 and direct.body == result
-    payload = {"observable": render.observable_json(GaussianObservable(result)),
-               "matches_evolve": matches}
-    text = (f"{render.pretty_polynomial(result)}\n"
-            f"{_label('matches evolve:')} {'yes' if matches else 'no'}")
-    return payload, text
+    if args.json:
+        return {"observable": render.observable_json(GaussianObservable(result)),
+                "matches_evolve": matches}
+    return f"{render.pretty_polynomial(result)}\nmatches evolve: {'yes' if matches else 'no'}"
 
 
 def _cmd_wkb_hierarchy(args):
@@ -215,9 +213,10 @@ def _cmd_wkb_hierarchy(args):
     s = _action(args)
     energy = parse_rational(args.energy)
     hierarchy = eigenproblem_hierarchy(ham, s, energy, args.order)
-    return render.hierarchy_json(hierarchy), "\n".join(
-        f"{_label(f'D_{j} =')} {render.pretty_operator(op)}"
-        for j, op in enumerate(hierarchy.orders))
+    if args.json:
+        return render.hierarchy_json(hierarchy)
+    return "\n".join(f"D_{j} = {render.pretty_operator(op)}"
+                     for j, op in enumerate(hierarchy.orders))
 
 
 def _cmd_wkb_solve1d(args):
@@ -281,18 +280,18 @@ def _cmd_wkb_solve1d(args):
             and np.all(np.isfinite(report.norms))):
         raise ValueError("amplitudes or residuals are not finite; "
                          "the interval may be too narrow for the grid")
-    solution = WKBSolution(sprime, orders)
-    payload = render.solution_json(solution)
-    payload["residuals"] = {"norms": report.norms, "tol": report.tol,
-                            "passed": report.passed}
+    if args.json:
+        payload = render.solution_json(WKBSolution(sprime, orders))
+        payload["residuals"] = {"norms": report.norms, "tol": report.tol,
+                                "passed": report.passed}
+        return payload
     lines = []
     for r, phi in enumerate(orders):
         peak = float(np.max(np.abs(phi.interior())))
-        lines.append(f"{_label(f'phi_{r}:')} max|phi| = {peak:.6g}, "
-                     f"residual = {report.norms[r]:.3e}")
-    lines.append(f"{_label('residual check:')} "
-                 f"{'passed' if report.passed else 'FAILED'} at tol {report.tol:g}")
-    return payload, "\n".join(lines)
+        lines.append(f"phi_{r}: max|phi| = {peak:.6g}, residual = {report.norms[r]:.3e}")
+    lines.append(f"residual check: {'passed' if report.passed else 'FAILED'} "
+                 f"at tol {report.tol:g}")
+    return "\n".join(lines)
 
 
 # -- parser construction -----------------------------------------------
@@ -397,7 +396,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code or 0
     try:
-        payload, pretty = args.handler(args)
+        result = args.handler(args)
     except ObservableParseError as exc:
         return _emit_error(exc, 2)
     except OSError as exc:  # unreadable --sprime-file
@@ -407,10 +406,10 @@ def main(argv=None) -> int:
     if args.json:
         # each chunk is written as it is made: the text is never held whole
         write = sys.stdout.write
-        for chunk in render.json_chunks(payload):
+        for chunk in render.json_chunks(result):
             write(chunk)
     else:
-        sys.stdout.write(pretty + "\n")
+        sys.stdout.write(result + "\n")
     return 0
 
 

@@ -653,9 +653,8 @@ class GaussianObservable:
         return hash((self.body, self.rate))
 
     def __str__(self) -> str:
-        if not self.rate:
-            return str(self.body)
-        return f"({self.body}) * exp(-{self.rate}*|q|^2)"
+        from .render import pretty_observable
+        return pretty_observable(self)
 
     def __repr__(self) -> str:
         return f"GaussianObservable({self.body!r}, rate={self.rate})"

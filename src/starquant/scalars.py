@@ -276,15 +276,8 @@ class LaurentSeries:
         return hash(frozenset(self.terms.items()))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k, c in self.sorted_items():
-            if k == 0:
-                parts.append(f"({c})")
-            else:
-                parts.append(f"({c})*lambda^{k}")
-        return " + ".join(parts)
+        from .render import pretty_series
+        return pretty_series(self)
 
     __repr__ = __str__
 
@@ -356,8 +349,7 @@ class IntegralValue:
         return laurent_is_positive(self.coeff)
 
     def __str__(self) -> str:
-        if self.coeff.is_zero() or self.unit_dim == 0:
-            return str(self.coeff)
-        return f"[{self.coeff}] * (pi/{self.unit_rate})^({self.unit_dim}/2)"
+        from .render import pretty_value
+        return pretty_value(self)
 
     __repr__ = __str__

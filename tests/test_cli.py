@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starquant import GridFunction1D, cli, errors
+from starquant import GridFunction1D, cli, errors, evolution
 from starquant.cli import MAX_GRID_VALUES, MAX_SAMPLES, _build_parser, main
 
 STAR_QP_JSON = ('{"dim": 1, "envelope": "0/1", "terms": ['
@@ -369,6 +369,19 @@ def test_ideal1_constructive_witness(capsys):
         {"l": 0, "q": [1], "p": [0], "re": "-1/1", "im": "0/1"}]
     code, out, _ = run(capsys, "ideal1", "p", "--action", "q^2/2", "--json")
     assert json.loads(out) == {"member": False}
+
+
+def test_ideal1_pulls_back_once(capsys, monkeypatch):
+    # the membership test and the witness share one A_{-1} f
+    times = []
+    for module in (evolution, cli):
+        def counted(f, t, s, original=module.evolve):
+            times.append(t)
+            return original(f, t, s)
+        monkeypatch.setattr(module, "evolve", counted)
+    code, out, _ = run(capsys, "ideal1", "p - q", "--action", "q^2/2", "--json")
+    assert code == 0 and json.loads(out)["member"] is True
+    assert times.count(-1) == 1
 
 
 def test_weyl_check_counts_monomials(capsys):

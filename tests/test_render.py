@@ -17,6 +17,8 @@ from starquant.render import (_SLICE, dumps, frac_str, grid_json, json_chunks,
                               pretty_operator, pretty_polynomial, pretty_series,
                               pretty_value, value_json)
 
+from conftest import polynomials, scalars
+
 Q = PhasePolynomial.coordinate_q(0, 1)
 P = PhasePolynomial.coordinate_p(0, 1)
 I = Scalar(Fraction(0), Fraction(1))
@@ -90,6 +92,19 @@ def test_pretty_series_and_value():
     assert pretty_value(IntegralValue(LaurentSeries.zero(), 2, 1)) == "0"
     scalar_only = IntegralValue(LaurentSeries.from_scalar(3), 1, 0)
     assert pretty_value(scalar_only) == "3"
+
+
+@given(poly=polynomials(dim=2, min_lambda=-2, max_lambda=2),
+       rate=st.sampled_from([0, Fraction(1, 2), 3]),
+       items=st.lists(st.tuples(st.integers(-3, 3), scalars), max_size=4),
+       unit_rate=st.sampled_from([Fraction(1, 2), 1, 3]), unit_dim=st.integers(0, 3))
+def test_str_is_the_pretty_form(poly, rate, items, unit_rate, unit_dim):
+    obs = GaussianObservable(poly, rate)
+    assert str(obs) == pretty_observable(obs)
+    series = LaurentSeries(dict(items))
+    assert str(series) == pretty_series(series)
+    value = IntegralValue(series, unit_rate, unit_dim)
+    assert str(value) == pretty_value(value)
 
 
 def test_pretty_value_parenthesizes_a_fractional_rate():
