@@ -9,13 +9,17 @@ The JSON builders return payloads of dicts, lists and scalars, except
 that a grid payload holds its float arrays as they are.  ``json_chunks``
 writes a payload as a sequence of strings, an array one slice at a
 time, so neither a whole float list nor the whole text is ever built;
-``dumps`` joins the same chunks.  This module does not import numpy.
+``dumps`` joins the same chunks.  An array's text is the same bytes as
+``json.dumps(values.tolist())``: orjson encodes each slice and its text
+is rewritten to the ``float.__repr__`` form.  This module does not
+import numpy, and imports orjson only to write an array.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
@@ -30,8 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 _LOG10_2 = math.log10(2)
-# Floats of a grid array per chunk: a slice lives as a Python float list
-# (32 B a value) and its text only while it is written.
+# Floats of a grid array per chunk: a slice lives as a copy (8 B a value)
+# and its text only while it is written.
 _SLICE = 4096
 
 
@@ -179,9 +183,12 @@ def pretty_value(value: IntegralValue) -> str:
     series = pretty_series(value.coeff)
     if value.unit_dim == 0:
         return series
+    terms = value.coeff.sorted_items()
+    if not (len(terms) == 1 and terms[0][0] == 0 and series.startswith("(")):
+        series = f"({series})"  # else _signed_coeff has put it in parentheses
     rate = value.unit_rate
     unit = _human(rate) if rate.denominator == 1 else f"({_human(rate)})"
-    return f"({series}) * (pi/{unit})^({value.unit_dim}/2)"
+    return f"{series} * (pi/{unit})^({value.unit_dim}/2)"
 
 
 # -- JSON builders -----------------------------------------------------
@@ -256,13 +263,46 @@ def solution_json(solution: "WKBSolution") -> dict:
     }
 
 
+def _exponent(match: re.Match) -> str:
+    """orjson's exponent (e16, e-7) as float.__repr__ writes it (e+16, e-07)."""
+    return f"e{int(match[1]):+03d}"
+
+
+def _fixed(match: re.Match) -> str:
+    """float.__repr__ of a token 0.0000d..., which orjson writes for
+    1e-5 <= |x| < 1e-4; a match inside a longer number (10.00001) stays."""
+    start = match.start()
+    if start and match.string[start - 1].isdigit():
+        return match[0]
+    return repr(float(match[0]))
+
+
 def _floats(values) -> Iterator[str]:
-    """A 1-d float array as the text of json.dumps(values.tolist())."""
+    """A 1-d float array as the same bytes as json.dumps(values.tolist()).
+
+    orjson writes the shortest round-trip digits, as float.__repr__ does,
+    but joins with "," and spells 1e-5 <= |x| < 1e-4 and exponents in its
+    own way; those tokens are rewritten only in a slice that holds them.
+    orjson writes NaN and infinities as null, so such a slice goes through
+    json.dumps as it is.
+    """
+    import orjson
+
     yield "["
     for start in range(0, len(values), _SLICE):
         if start:
             yield ", "
-        yield json.dumps(values[start:start + _SLICE].tolist())[1:-1]
+        part = values[start:start + _SLICE]
+        raw = orjson.dumps(part.copy(), option=orjson.OPT_SERIALIZE_NUMPY)
+        if b"n" in raw:  # null
+            yield json.dumps(part.tolist())[1:-1]
+            continue
+        text = raw[1:-1].replace(b",", b", ").decode()
+        if "e" in text:
+            text = re.sub(r"e(-?\d+)", _exponent, text)
+        if "0.0000" in text:
+            text = re.sub(r"0\.0000\d+", _fixed, text)
+        yield text
     yield "]"
 
 

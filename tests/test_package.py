@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import starquant
 
@@ -105,6 +109,47 @@ def test_exact_commands_load_no_numpy():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "q*p + i/2*lambda\n"
+
+
+def test_only_json_grids_load_orjson():
+    """orjson loads in the one place it writes: a float grid under --json."""
+    src = str(Path(starquant.__file__).resolve().parents[1])
+    solve = ("['wkb', 'solve1d', '--sprime-expr', 'q', '--interval', '1', '2', "
+             "'--samples', '65', '--order', '1', '--bc', '1']")
+    code = ("import sys\n"
+            "import starquant.cli\n"
+            "assert 'orjson' not in sys.modules, 'import starquant.cli'\n"
+            "assert starquant.cli.main(['star', 'q', 'p']) == 0\n"
+            "assert 'orjson' not in sys.modules, 'starquant star q p'\n"
+            f"assert starquant.cli.main({solve}) == 0\n"
+            "assert 'orjson' not in sys.modules, 'pretty wkb solve1d'\n"
+            f"assert starquant.cli.main({solve} + ['--json']) == 0\n"
+            "assert 'orjson' in sys.modules, 'wkb solve1d --json'\n")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(starquant.__file__).resolve().parent
+    imported = set().union(*map(imported_modules, package.glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"starquant"}
+    pyproject = tomllib.loads((SCRIPTS.parent / "pyproject.toml").read_text())
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0]
+                for dep in pyproject["project"]["dependencies"]}
+    assert third_party == declared == {"numpy", "orjson"}
 
 
 def test_cli_peak_script_runs_a_against_itself():
