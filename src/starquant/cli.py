@@ -249,9 +249,12 @@ def _cmd_wkb_solve1d(args):
         if not poly.is_base_only() or not poly.is_lambda_free() or not poly.is_real():
             raise ValueError("S' must be a real polynomial in q alone")
         # overflow gives inf or nan samples, which the solver refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            sprime = GridFunction1D.from_callable(
-                lambda x: _eval_base_poly(poly, x).real, a, b, n, pad)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sprime = GridFunction1D.from_callable(
+                    lambda x: _eval_base_poly(poly, x).real, a, b, n, pad)
+        except OverflowError:  # a coefficient beyond the float range
+            raise ValueError("a coefficient of S' is outside the float range") from None
     else:
         with warnings.catch_warnings():
             # numpy warns on a file without rows; the error below says so on one line

@@ -604,6 +604,17 @@ def test_solve1d_rejects_boundary_beyond_float_range(capsys, bc):
     assert_one_error_line(code, out, err, "ValueError")
 
 
+def test_solve1d_coefficient_at_the_float_range_line(capsys):
+    # 2^1000 is a float; 2^1024 is not and must not escape as an OverflowError
+    argv = ("wkb", "solve1d", "--interval", "1", "2", "--samples", "16",
+            "--order", "0", "--bc", "1")
+    code, out, err = run(capsys, *argv, "--sprime-expr", "2^1000*q")
+    assert code == 0 and out and not err
+    code, out, err = run(capsys, *argv, "--sprime-expr", "2^1024*q")
+    assert_one_error_line(code, out, err, "ValueError")
+    assert "outside the float range" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-5"])
 def test_solve1d_rejects_bad_tolerance(capsys, tol):
     code, out, err = run(capsys, "wkb", "solve1d", "--sprime-expr", "q",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -63,8 +64,8 @@ def load_script(name: str):
     return module
 
 
-def test_ab_bench_compare_verdicts():
-    compare = load_script("ab_bench.py").compare
+def test_ab_compare_verdicts():
+    compare = load_script("ab.py").compare
     parent = [100.0, 80.0, 120.0, 90.0, 110.0, 70.0, 130.0, 95.0, 105.0, 100.0]
     # the parent's Q3 - Q1 is 17.5, above a 0.1 bound of its median 100
     tight = compare(parent, [p + 1 for p in parent], "higher", 0.1)
@@ -85,14 +86,38 @@ def test_ab_bench_compare_verdicts():
     assert touching["unresolved"]
 
 
-def test_ab_inprocess_script_runs_a_against_itself():
-    repo = str(SCRIPTS.parent)
-    done = run_script("ab_inprocess.py", repo, repo, "--workload", "transport",
-                      "--rounds", "1", "--cycles", "1")
-    assert done.returncode == 0, done.stderr
-    assert "round 1/1" in done.stdout
-    assert "transport: B/A median" in done.stdout
-    assert "failed ops A 0, B 0" in done.stdout
+def run_ab(target: str, parent: str, *args: str) -> tuple[int, dict]:
+    """Exit code and JSON report of scripts/ab.py, the change side this tree."""
+    done = run_script("ab.py", target, parent, str(SCRIPTS.parent), *args)
+    assert done.returncode in (0, 1), done.stderr
+    return done.returncode, json.loads(done.stdout)
+
+
+def assert_a_against_itself(target: str, *args: str) -> dict:
+    code, report = run_ab(target, str(SCRIPTS.parent), *args)
+    assert code == 0
+    [case] = report["end_to_end"].values()
+    assert case["pairs"] == 2 and case["failed"] == {"parent": 0, "change": 0}
+    assert min(case["attempted"].values()) > 0
+    assert not any(verdict["gain_shown"] for verdict in case["metrics"].values())
+    return case
+
+
+def test_ab_workload_a_against_itself():
+    case = assert_a_against_itself("workload", "--workloads", "assoc", "--pairs", "2",
+                                   "--seconds", "0.5")
+    assert case["seeds"] == [1, 2]
+    assert set(case["metrics"]) == {"ops_per_s", "op_p50_ms", "op_tail_ms", "setup_s",
+                                    "peak_rss_mb"}
+
+
+def test_ab_ops_a_against_itself():
+    case = assert_a_against_itself("ops", "--workloads", "transport", "--pairs", "2",
+                                   "--cycles", "1")
+    assert set(case["metrics"]) == {"ops_per_s"}
+    # one untimed warm-up op a side, then each op of the stream once a round
+    assert case["attempted"]["parent"] == case["attempted"]["change"]
+    assert case["attempted"]["parent"] % 2 == 1
 
 
 def test_exact_commands_load_no_numpy():
@@ -152,9 +177,19 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert third_party == declared == {"numpy", "orjson"}
 
 
-def test_cli_peak_script_runs_a_against_itself():
-    repo = str(SCRIPTS.parent)
-    done = run_script("cli_peak.py", repo, repo, "--runs", "1", "--", "star", "q", "p")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.count("exit [0]") == 2
-    assert "stdout sha256 equal: yes" in done.stdout
+def test_ab_cli_a_against_itself():
+    case = assert_a_against_itself("cli", "--pairs", "2", "--", "star", "q", "p")
+    assert set(case["metrics"]) == {"wall_s", "peak_rss_mb"}
+    assert case["attempted"] == {"parent": 2, "change": 2}
+
+
+def test_ab_cli_exits_1_when_the_outputs_differ(tmp_path):
+    # a parent whose CLI prints another line; the first run is the parent's, so both
+    # change runs differ from it
+    (tmp_path / "src" / "starquant").mkdir(parents=True)
+    (tmp_path / "src" / "starquant" / "__init__.py").write_text("")
+    (tmp_path / "src" / "starquant" / "cli.py").write_text("def main():\n    print('x')\n")
+    code, report = run_ab("cli", str(tmp_path), "--pairs", "2", "--", "star", "q", "p")
+    assert code == 1
+    [case] = report["end_to_end"].values()
+    assert case["failed"] == {"parent": 0, "change": 2}
