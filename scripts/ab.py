@@ -8,7 +8,7 @@
 A side is a git revision, exported by ``git archive`` into a fresh directory,
 or an existing directory, used as it is.  The sides never run at once and take
 turns going first (``order``).  ``ops`` loads both sides into this interpreter
-and times their ops back to back after one untimed warm-up op a side; ``cli``
+and times their ops back to back after one untimed round of them a side; ``cli``
 hashes a child's stdout as it reads it, and a run whose exit code or hash
 differs from the first run's fails.  A failed op is counted and shown, never
 timed away, and makes the exit status 1.  stdout gets one JSON object in the
@@ -174,12 +174,15 @@ def ops_target(args, roots: dict, spec: dict, scratch: str) -> tuple[str, dict]:
                     bad[side] += failed
             return {side: ({"ops_per_s": n / spent[side]}, bad[side], n) for side in SIDES}
 
-        warm = {side: run(side, workload, 0)[1] for side in SIDES}  # untimed, one a side
+        warm = dict.fromkeys(SIDES, 0)  # one untimed round of the whole stream a side
+        for i in range(n):
+            for side in order(i):
+                warm[side] += run(side, workload, i)[1]
         case = cases[workload] = interleave(args.pairs, step, [args.seed],
                                             {"ops_per_s": spec["ops_per_s"]}, workload)
         for side in SIDES:
             case["failed"][side] += warm[side]
-            case["attempted"][side] += 1
+            case["attempted"][side] += n
     return (f"workloads.make_ops(W, {args.seed}, {args.cycles}) of both sides in one "
             "interpreter, op by op", cases)
 

@@ -9,8 +9,9 @@ a formal WKB transport hierarchy with a semi-numeric 1-d solver.
 from .errors import (BudgetExceeded, DimensionMismatch, EnvelopeMismatch,
                      GridTooCoarse, HamiltonJacobiViolated, NonIntegrable,
                      NotInIdeal, PhaseMismatch, StarquantError, TurningPointError)
-from .evolution import (ActionData, evolve, evolve_t_polynomial, fiber_flow,
-                        gelfand_member1, omega1, pi1, t_operator_apply)
+from .evolution import (ActionData, TransportHierarchy, eigenproblem_hierarchy, evolve,
+                        evolve_t_polynomial, fiber_flow, gelfand_member1, hj_residual,
+                        omega1, physical_transport_equation, pi1, t_operator_apply)
 from .gns import (SchrodingerOperator, gaussian_moment, gelfand_member0, inner0,
                   inner0_factorized, momenta_decompose, omega0, op_apply_base,
                   op_compose, pi0, project_H0, weyl_check, weyl_symmetrize_oracle)
@@ -26,13 +27,11 @@ from .star import bidiff_M, s_map, star, star_commutator
 
 __version__ = "0.1.0"
 
-# The names of wkb, which imports numpy, load on first use (PEP 562), so
-# `import starquant` and the exact commands start without numpy.
+# The grid names of wkb, which imports numpy, load on first use (PEP 562),
+# so `import starquant` and the exact commands start without numpy.
 _WKB_NAMES = frozenset((
-    "GridFunction1D", "ResidualReport", "TransportHierarchy", "WKBSolution",
-    "eigenproblem_hierarchy", "fornberg_weights", "hj_residual",
-    "physical_transport_equation", "solve_transport_1d", "transport_residuals_1d",
-    "verify_eigen_residual"))
+    "GridFunction1D", "ResidualReport", "WKBSolution", "fornberg_weights",
+    "solve_transport_1d", "transport_residuals_1d", "verify_eigen_residual"))
 
 
 def __getattr__(name):

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import render
 from .errors import BudgetExceeded, GridTooCoarse, StarquantError
-from .evolution import ActionData, evolve, omega1, pi1
+from .evolution import ActionData, eigenproblem_hierarchy, evolve, omega1, pi1
 from .gns import (gelfand_member0, inner0, momenta_decompose, omega0, pi0,
                   project_H0, weyl_check)
 from .observables import GaussianObservable, PhasePolynomial
@@ -150,7 +150,7 @@ def _cmd_weyl_check(args):
     # the library sweeps no monomial below degree 0 and reports all equal
     if args.max_degree < 0:
         raise ValueError("degree must be nonnegative")
-    checked, mismatches = weyl_check(args.dim, args.max_degree)
+    checked, mismatches = weyl_check(_dim(args), args.max_degree)
     if args.json:
         return {"dim": args.dim, "max_degree": args.max_degree, "checked": checked,
                 "mismatches": [{"q": list(alpha), "p": list(beta)}
@@ -205,10 +205,6 @@ def _cmd_phase_conj(args):
 
 
 def _cmd_wkb_hierarchy(args):
-    # wkb imports numpy: the two wkb handlers import it when they run, so
-    # the exact commands start without numpy
-    from .wkb import eigenproblem_hierarchy
-
     ham = _poly(args, args.ham)
     s = _action(args)
     energy = parse_rational(args.energy)
@@ -220,6 +216,7 @@ def _cmd_wkb_hierarchy(args):
 
 
 def _cmd_wkb_solve1d(args):
+    # the one handler on the grid tier: numpy loads when it runs
     import numpy as np
 
     from .wkb import (MIN_SAMPLES, GridFunction1D, WKBSolution, _eval_base_poly,

@@ -28,9 +28,10 @@ from .errors import BudgetExceeded
 from .scalars import IntegralValue, LaurentSeries, Scalar
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .evolution import TransportHierarchy
     from .gns import SchrodingerOperator
     from .observables import GaussianObservable, PhasePolynomial
-    from .wkb import GridFunction1D, TransportHierarchy, WKBSolution
+    from .wkb import GridFunction1D, WKBSolution
 
 
 _LOG10_2 = math.log10(2)

@@ -1,25 +1,7 @@
-"""Eigenvalue transport hierarchies and a numeric 1-D amplitude solver.
+"""A numeric 1-D amplitude solver for the WKB transport hierarchy.
 
-Symbolic side.  Given a polynomial Hamiltonian H, a polynomial action S
-with H(q, dS(q)) = E, and the dressed operator realization, the
-stationary problem for the transported observable splits by lambda
-order into differential operators D_0, D_1, ... acting on the base
-amplitudes:
-
-    sum_{j <= r} D_j phi_{r-j} = 0    at every order r.
-
-D_0 is multiplication by the exact Hamilton-Jacobi residual and
-vanishes when the precondition holds.  The hierarchy is produced by a
-direct lambda expansion of the represented operator; for the physical
-family H = p^2 + V(q) it collapses to the classic amplitude transport
-
-    (Lap S) phi_r + 2 <dS, grad phi_r> = i Lap phi_{r-1},
-
-which ``physical_transport_equation`` builds independently so the two
-routes can be compared operator-by-operator.
-
-Numeric side.  In one dimension the transport recursion integrates in
-closed form,
+The exact hierarchy lives in ``evolution``.  In one dimension its
+transport recursion integrates in closed form,
 
     phi_r = (S')^(-1/2) [ C + (i/2) Integral_a^q (S')^(-1/2) phi_{r-1}'' ],
 
@@ -38,7 +20,7 @@ resampling of file data are small numpy routines here, so the numeric
 tier needs numpy alone: ``_cumulative_simpson`` repeats the operations
 of scipy's equal-step ``cumulative_simpson`` and gives the same bits,
 and ``_not_a_knot_spline`` solves the not-a-knot cubic spline's slope
-system in one O(n) sweep.
+system in one O(n) sweep.  This is the one module that imports numpy.
 """
 
 from __future__ import annotations
@@ -50,119 +32,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DimensionMismatch, GridTooCoarse,
-                     HamiltonJacobiViolated, TurningPointError)
-from .evolution import ActionData, evolve, fiber_flow
-from .gns import SchrodingerOperator, pi0
-from .observables import GaussianObservable, PhasePolynomial
-from .scalars import I, Rat, Scalar
+from .errors import DimensionMismatch, GridTooCoarse, TurningPointError
+# eigenproblem_hierarchy stays bound here too: the benchmark tracer looks
+# it up as starquant.wkb.eigenproblem_hierarchy
+from .evolution import TransportHierarchy, eigenproblem_hierarchy
+from .gns import SchrodingerOperator
+from .observables import PhasePolynomial
 
 MIN_SAMPLES = 16
 
-# Largest max_order of eigenproblem_hierarchy.  Orders past the last
-# nonzero operator are zero padding, each one printed by the CLI, so an
-# unbounded --order (10^6 took 12 s and wrote 32 MB) only grows the
-# output; the benchmark and golden runs use orders up to 3.
-MAX_HIERARCHY_ORDER = 1000
-
-
-# ---------------------------------------------------------------------------
-# symbolic tier
-# ---------------------------------------------------------------------------
-
-def hj_residual(ham: PhasePolynomial, s: ActionData, energy: Rat) -> PhasePolynomial:
-    """The exact base polynomial H(q, dS(q)) - E."""
-    if ham.dim != s.dim:
-        raise DimensionMismatch(f"hamiltonian dim {ham.dim} vs action dim {s.dim}")
-    energy = Fraction(energy)
-    restricted = fiber_flow(ham, -1, s).body.restrict_zero_section()
-    return restricted - PhasePolynomial.constant(ham.dim, energy)
-
-
-@dataclass
-class TransportHierarchy:
-    """The lambda-split eigenproblem operators for one (H, S, E) triple."""
-
-    ham: PhasePolynomial
-    action: ActionData
-    energy: Fraction
-    orders: list[SchrodingerOperator]
-
-    def order(self, j: int) -> SchrodingerOperator:
-        if j < len(self.orders):
-            return self.orders[j]
-        return SchrodingerOperator.zero(self.action.dim)
-
-    def min_nonzero_order(self) -> int | None:
-        for j, op in enumerate(self.orders):
-            if not op.is_zero():
-                return j
-        return None
-
-
-def _hierarchy_orders(ham: PhasePolynomial, s: ActionData, energy: Fraction,
-                      max_order: int) -> list[SchrodingerOperator]:
-    """lambda components of pi0(A_{-1} H) - E, without the HJ gate."""
-    n = ham.dim
-    dressed = pi0(evolve(ham, -1, s))
-    full = dressed - SchrodingerOperator.identity(n).scale(Scalar.of(energy))
-    components = full.lambda_components()
-    top = max(max_order, max(components, default=0))
-    return [components.get(j, SchrodingerOperator.zero(n)) for j in range(top + 1)]
-
-
-def eigenproblem_hierarchy(ham: PhasePolynomial, s: ActionData, energy: Rat,
-                           max_order: int) -> TransportHierarchy:
-    """Split the stationary problem for the dressed H into lambda orders.
-
-    Requires a lambda-free Hamiltonian and an action that solves the
-    corresponding Hamilton-Jacobi equation exactly; the residual is part
-    of the raised error otherwise.  Orders above ``max_order`` that are
-    not identically zero are kept, so no equation is silently dropped.
-    """
-    if ham.dim != s.dim:
-        raise DimensionMismatch(f"hamiltonian dim {ham.dim} vs action dim {s.dim}")
-    if not ham.is_lambda_free():
-        raise ValueError("hierarchy requires a lambda-free hamiltonian")
-    if max_order < 0:
-        raise ValueError("max order must be nonnegative")
-    if max_order > MAX_HIERARCHY_ORDER:
-        raise BudgetExceeded(f"max order {max_order} exceeds {MAX_HIERARCHY_ORDER}")
-    energy = Fraction(energy)
-    residual = hj_residual(ham, s, energy)
-    if not residual.is_zero():
-        raise HamiltonJacobiViolated(
-            f"action does not solve H(q, dS) = E; residual {residual}",
-            residual=residual)
-    orders = _hierarchy_orders(ham, s, energy, max_order)
-    return TransportHierarchy(ham=ham, action=s, energy=energy, orders=orders)
-
-
-def physical_transport_equation(s: ActionData, r: int) -> tuple[SchrodingerOperator, SchrodingerOperator]:
-    """The classic amplitude transport at order r, built from S alone.
-
-    Returns (lhs, rhs) with lhs acting on phi_r and rhs on phi_{r-1}:
-
-        lhs = (Lap S) + 2 sum_k (d_k S) d/dq^k,    rhs = i Lap.
-
-    The same pair comes back at every order; r is accepted for the
-    caller's bookkeeping and validated only.
-    """
-    if r < 0:
-        raise ValueError("transport order must be nonnegative")
-    n = s.dim
-    lhs = rhs = PhasePolynomial.zero(n)  # operator symbols: p_k is d/dq^k
-    for k in range(n):
-        p_k = PhasePolynomial.coordinate_p(k, n)
-        lhs = lhs + s.gradient[k].diff_q(k) + (s.gradient[k] * p_k).scale(2)
-        rhs = rhs + (p_k * p_k).scale(I)
-    return (SchrodingerOperator._of(GaussianObservable(lhs)),
-            SchrodingerOperator._of(GaussianObservable(rhs)))
-
-
-# ---------------------------------------------------------------------------
-# numeric tier
-# ---------------------------------------------------------------------------
 
 def fornberg_weights(order: int, offsets: Sequence[int]) -> list[Fraction]:
     """Exact finite-difference weights for d^order/dx^order at 0.

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starquant import GridFunction1D, cli, errors, evolution
+from starquant import GridFunction1D, cli, errors, evolution, weyl_check
 from starquant.cli import MAX_GRID_VALUES, MAX_SAMPLES, _build_parser, main
 
 STAR_QP_JSON = ('{"dim": 1, "envelope": "0/1", "terms": ['
@@ -100,17 +100,18 @@ def test_deep_nesting_exits_2_with_position(capsys):
 
 def test_weyl_check_budget_exits_3_fast(capsys):
     start = time.perf_counter()
-    code, out, err = run(capsys, "weyl-check", "--dim", "300", "--max-degree", "3", "--json")
+    code, out, err = run(capsys, "weyl-check", "--dim", "64", "--max-degree", "3", "--json")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     body = json.loads(lines[0])
     assert body["error"] == "BudgetExceeded"
-    assert "C(603, 600) monomials" in body["message"]
-    # the check itself must not evaluate C(10^9 + 2*10^6, 2*10^6): that takes minutes
-    code, _, err = run(capsys, "weyl-check", "--dim", "1000000", "--max-degree", "1000000000")
-    assert code == 3 and json.loads(err)["error"] == "BudgetExceeded"
+    assert "C(131, 128) monomials" in body["message"]
+    # the check itself must not evaluate C(10^9 + 2*10^6, 2*10^6): that takes
+    # minutes; the CLI refuses such a dimension before, the library here
+    with pytest.raises(errors.BudgetExceeded):
+        weyl_check(1000000, 1000000000)
     assert time.perf_counter() - start < 1.0
 
 
@@ -177,6 +178,9 @@ def test_dimension_past_the_limit_exits_3_fast(capsys, dim):
     # the same limit holds for a command that parses only polynomials
     code, out, err = run(capsys, "phase-conj", "q1", "--t", "1", "--action", "q1",
                          "--dim", str(dim))
+    assert_one_error_line(code, out, err, "BudgetExceeded")
+    # and for one that parses nothing: degree 0 skips the monomial budget
+    code, out, err = run(capsys, "weyl-check", "--dim", str(dim), "--max-degree", "0")
     assert_one_error_line(code, out, err, "BudgetExceeded")
 
 

@@ -16,8 +16,7 @@ from starquant import (ActionData, GaussianObservable, IntegralValue,
                        gelfand_member0, gelfand_member1, inner0, omega0, omega1,
                        pi0, pi1, star, star_commutator, t_operator_apply)
 
-from starquant.evolution import _exp_source, _source_apply
-from starquant.wkb import eigenproblem_hierarchy, hj_residual
+from starquant.evolution import _exp_source, _source_apply, eigenproblem_hierarchy, hj_residual
 
 from conftest import base_polynomials, polynomials, real_scalars
 from oracles import picard_evolve, reference_source_apply, reference_substitute_momenta

@@ -115,25 +115,37 @@ def test_ab_ops_a_against_itself():
     case = assert_a_against_itself("ops", "--workloads", "transport", "--pairs", "2",
                                    "--cycles", "1")
     assert set(case["metrics"]) == {"ops_per_s"}
-    # one untimed warm-up op a side, then each op of the stream once a round
+    # one untimed round of the stream a side, then each op of it once a round
     assert case["attempted"]["parent"] == case["attempted"]["change"]
-    assert case["attempted"]["parent"] % 2 == 1
+    assert case["attempted"]["parent"] % 3 == 0
 
 
 def test_exact_commands_load_no_numpy():
+    """numpy loads for `wkb solve1d` alone, the one command on the grid tier."""
     src = str(Path(starquant.__file__).resolve().parents[1])
+    hierarchy = ("['wkb', 'hierarchy', '--ham', 'p^2+1-q^2', '--action', 'q^2/2', "
+                 "'--energy', '1', '--order', '3']")
+    solve = ("['wkb', 'solve1d', '--sprime-expr', 'q', '--interval', '1', '2', "
+             "'--samples', '65', '--order', '1', '--bc', '1']")
     code = ("import sys\n"
             "import starquant\n"
             "assert 'numpy' not in sys.modules, 'import starquant'\n"
             "import starquant.cli\n"
             "assert 'numpy' not in sys.modules, 'import starquant.cli'\n"
-            "code = starquant.cli.main(['star', 'q', 'p'])\n"
+            "assert starquant.cli.main(['star', 'q', 'p']) == 0\n"
             "assert 'numpy' not in sys.modules, 'starquant star q p'\n"
-            "sys.exit(code)\n")
+            "starquant.eigenproblem_hierarchy\n"
+            "assert 'numpy' not in sys.modules, 'starquant.eigenproblem_hierarchy'\n"
+            f"assert starquant.cli.main({hierarchy}) == 0\n"
+            "assert 'numpy' not in sys.modules, 'pretty wkb hierarchy'\n"
+            f"assert starquant.cli.main({hierarchy} + ['--json']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'wkb hierarchy --json'\n"
+            f"assert starquant.cli.main({solve}) == 0\n"
+            "assert 'numpy' in sys.modules, 'wkb solve1d'\n")
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "q*p + i/2*lambda\n"
+    assert done.stdout.startswith("q*p + i/2*lambda\nD_0 = 0\n")
 
 
 def test_only_json_grids_load_orjson():
@@ -175,6 +187,31 @@ def test_every_third_party_import_is_a_declared_dependency():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0]
                 for dep in pyproject["project"]["dependencies"]}
     assert third_party == declared == {"numpy", "orjson"}
+
+
+def numpy_import_scopes(path: Path) -> set[str]:
+    """Where one source file imports numpy: its module or a dotted function name."""
+    scopes = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                if any(alias.name.split(".")[0] == "numpy" for alias in child.names):
+                    scopes.add(scope)
+            elif isinstance(child, ast.ImportFrom):
+                if child.level == 0 and child.module.split(".")[0] == "numpy":
+                    scopes.add(scope)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if inner else scope)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return scopes
+
+
+def test_numpy_is_imported_only_by_the_grid_tier():
+    package = Path(starquant.__file__).resolve().parent
+    scopes = set().union(*map(numpy_import_scopes, package.glob("*.py")))
+    assert scopes == {"wkb", "cli._cmd_wkb_solve1d"}
 
 
 def test_ab_cli_a_against_itself():

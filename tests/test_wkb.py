@@ -22,8 +22,8 @@ from starquant import (ActionData, BudgetExceeded, DimensionMismatch, GridFuncti
                        hj_residual, physical_transport_equation,
                        solve_transport_1d, transport_residuals_1d,
                        verify_eigen_residual)
-from starquant.wkb import (MAX_HIERARCHY_ORDER, _central_weights, _cumulative_simpson,
-                           _eval_base_poly, _not_a_knot_spline)
+from starquant.evolution import MAX_HIERARCHY_ORDER
+from starquant.wkb import _central_weights, _cumulative_simpson, _eval_base_poly, _not_a_knot_spline
 
 from conftest import base_polynomials, real_scalars
 from oracles import exact_poly_at, exact_transport
