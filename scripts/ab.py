@@ -8,7 +8,8 @@
 A side is a git revision, exported by ``git archive`` into a fresh directory,
 or an existing directory, used as it is.  The sides never run at once and take
 turns going first (``order``).  ``ops`` loads both sides into this interpreter
-and times their ops back to back after one untimed round of them a side; ``cli``
+and times their ops back to back after one untimed round of them a side, and
+judges each round's change/parent ratio, since rounds drift together; ``cli``
 hashes a child's stdout as it reads it, and a run whose exit code or hash
 differs from the first run's fails.  A failed op is counted and shown, never
 timed away, and makes the exit status 1.  stdout gets one JSON object in the
@@ -35,7 +36,9 @@ METHOD = ("interleaved pairs of parent and change, never two at once, the first 
           "statistics.quantiles; change_better_pairs: pairs the change read better, ties for "
           "neither; gain_shown: 9/10 of at least 10 pairs better and the median gap above the "
           "parent's Q3 - Q1; unresolved: the parent's Q3 - Q1 above bound * |parent median|, "
-          "unless every change run reads better than every parent run")
+          "unless every change run reads better than every parent run; ops judges both on "
+          "round_ratio, each round's change/parent ratio: a gap of its median from 1 above its "
+          "Q3 - Q1, and its Q3 - Q1 above bound unless every round reads better")
 
 
 def order(k: int) -> tuple[str, str]:
@@ -63,22 +66,34 @@ def summary(runs: list[float]) -> dict:
             "q3": round(q3, 4), "runs": [round(r, 4) for r in runs]}
 
 
-def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+def compare(parent: list[float], change: list[float], better: str, bound: float,
+            paired: bool = False) -> dict:
+    """Verdicts on one metric.  With ``paired`` (ops) pair k of both sides ran in
+    one round, so its change/parent ratio cancels the drift between rounds that
+    per-side quartiles carry, and the verdicts rest on that ratio."""
     sign = 1 if better == "higher" else -1
     p_med, c_med = statistics.median(parent), statistics.median(change)
-    gap = sign * (c_med - p_med)  # above 0 when the change's median reads better
-    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    apart = all(sign * (c - p) > 0 for p in parent for c in change)
-    return {"parent": summary(parent), "change": summary(change),
-            "ratio_change_over_parent": round(c_med / p_med, 4) if p_med else None,
-            "change_better_pairs": wins,
-            "within_bound": gap >= -bound * abs(p_med),
+    out = {"parent": summary(parent), "change": summary(change),
+           "ratio_change_over_parent": round(c_med / p_med, 4) if p_med else None,
+           "change_better_pairs": wins}
+    if paired:
+        ratios = [c / p for p, c in zip(parent, change)]
+        out["round_ratio"] = summary(ratios)
+        # the median ratio's gap from 1, and the bound as a ratio
+        gap, spread_of, scale = sign * (statistics.median(ratios) - 1), ratios, 1
+        apart = wins == len(ratios)
+    else:
+        gap, spread_of, scale = sign * (c_med - p_med), parent, abs(p_med)
+        apart = all(sign * (c - p) > 0 for p in parent for c in change)
+    q1, _, q3 = statistics.quantiles(spread_of, n=4, method="inclusive")
+    return {**out, "within_bound": gap >= -bound * scale,
             "gain_shown": 10 * wins >= 9 * max(len(parent), 10) and gap > q3 - q1,
-            "unresolved": q3 - q1 > bound * abs(p_med) and not apart}
+            "unresolved": q3 - q1 > bound * scale and not apart}
 
 
-def interleave(pairs: int, step, seeds: list[int], bounds: dict, label: str) -> dict:
+def interleave(pairs: int, step, seeds: list[int], bounds: dict, label: str,
+               paired: bool = False) -> dict:
     """One case's JSON block; step(k) runs pair k: {side: (metrics, failed, attempted)}."""
     runs = {side: [] for side in SIDES}
     failed, attempted = dict.fromkeys(SIDES, 0), dict.fromkeys(SIDES, 0)
@@ -92,7 +107,8 @@ def interleave(pairs: int, step, seeds: list[int], bounds: dict, label: str) -> 
             for side in SIDES), file=sys.stderr, flush=True)
     return {"pairs": pairs, "seeds": seeds, "failed": failed, "attempted": attempted,
             "metrics": {name: compare([r[name] for r in runs["parent"]],
-                                      [r[name] for r in runs["change"]], m["better"], m["bound"])
+                                      [r[name] for r in runs["change"]], m["better"], m["bound"],
+                                      paired)
                         for name, m in bounds.items()}}
 
 
@@ -179,7 +195,7 @@ def ops_target(args, roots: dict, spec: dict, scratch: str) -> tuple[str, dict]:
             for side in order(i):
                 warm[side] += run(side, workload, i)[1]
         case = cases[workload] = interleave(args.pairs, step, [args.seed],
-                                            {"ops_per_s": spec["ops_per_s"]}, workload)
+                                            {"ops_per_s": spec["ops_per_s"]}, workload, True)
         for side in SIDES:
             case["failed"][side] += warm[side]
             case["attempted"][side] += n

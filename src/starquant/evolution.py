@@ -140,10 +140,10 @@ def _exp_series(apply: Callable[[GaussianObservable, ActionData], GaussianObserv
     terms = [f]
     m = 1
     while True:
-        term = apply(terms[-1], s).scale(t / m)
-        if term.is_zero():
+        term = apply(terms[-1], s)
+        if term.is_zero():  # before t / m: most series end at the first term
             return terms
-        terms.append(term)
+        terms.append(term.scale(t / m))
         m += 1
 
 

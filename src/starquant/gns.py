@@ -7,7 +7,10 @@ q -> (q, 0) of T*R^n.  Everything it induces is computed exactly here:
 * ``inner0`` is the sesquilinear form omega0(conj(f) * g); it factorizes
   through the symmetrization map as an honest L^2 pairing of the two
   projected wave functions, and both routes are implemented so they can
-  be checked against each other.
+  be checked against each other.  omega0 reads only the zero section, so
+  each route sums only the p-free slice of its own kernel tables, cut by
+  the one helper ``star._p_free``: ``inner0`` the star tables,
+  ``inner0_factorized`` and ``project_H0`` the symmetrization-map tables.
 * the null ideal of the form is detected by ``gelfand_member0`` and made
   constructive by ``momenta_decompose``, which peels a polynomial
   member into left star-multiples of the momenta.
@@ -33,7 +36,7 @@ from .errors import BudgetExceeded, DimensionMismatch, NonIntegrable, NotInIdeal
 from .observables import (GaussianObservable, Observable, PhasePolynomial, TermKey,
                           _compositions, _leibniz_terms, _Numerators, _sum_of_products)
 from .scalars import I, IntegralValue, LaurentSeries, Rat, Scalar, i_power
-from .star import _s_map_zero_section, s_map, star
+from .star import _s_map_zero_section, _star_zero_section, s_map, star
 
 OpKey = tuple[int, tuple[int, ...]]
 
@@ -124,9 +127,13 @@ def omega0(f: Observable) -> IntegralValue:
 
 
 def inner0(f: Observable, g: Observable) -> IntegralValue:
-    """The sesquilinear form omega0(conj(f) * g), star route."""
+    """The sesquilinear form omega0(conj(f) * g), star route.
+
+    omega0 reads only the zero section, so only the p-free slice of the
+    star kernel's tables is summed, never the whole product.
+    """
     fo, go = GaussianObservable.of(f), GaussianObservable.of(g)
-    return omega0(star(fo.conjugate(), go))
+    return omega0(_star_zero_section(fo.conjugate(), go))
 
 
 def inner0_factorized(f: Observable, g: Observable) -> IntegralValue:

@@ -45,10 +45,17 @@ The symmetrization map S = exp(-(i*lambda/2) Delta) with
 Delta = sum_k d^2/(dq^k dp_k) intertwines the two orderings used by the
 state constructions; its inverse is the conjugate map with the opposite
 sign.  Per dimension it is sum_{m <= b} (-+i*lambda/2)^m/m! (b)_m
-p^(b-m) P(a, m, r).  Its restriction to the zero section, which the
-projection and the factorized inner product of ``gns`` need, keeps only
-the order m = b of each table, so ``_s_map_zero_section`` sums that
-slice of the same cached tables and nothing else.
+p^(b-m) P(a, m, r).
+
+Zero section.  An entry of order n of a table holds p^(top - n), where
+top is the table's p-degree: b for the s-map table of q^a p^b, b + d for
+the star table of a pair.  So restricting either result to the zero
+section keeps only the entries of order top, the last block of the
+sorted table, and ``_p_free`` cuts that slice out of the same cached
+tables; a term or term pair with an empty slice in some dimension is
+dropped.  ``_s_map_zero_section`` sums that slice for the projection and
+the factorized inner product of ``gns``, and ``_star_zero_section`` for
+its star-route inner product; neither builds the p-dependent rest.
 
 Both refuse an input whose tables would cost more than MAX_TABLE_WORK,
 counted from the exponents alone (products, entries and a bound on their
@@ -363,14 +370,11 @@ def _sum(dim: int, what: str, jobs: list, width: int, order: int | None = None,
             gc.enable()
 
 
-def _moyal(f: Observable, g: Observable, order: int | None = None,
-           odd_only: bool = False) -> GaussianObservable:
-    """Sum of the kernel over all pairs of terms.
-
-    With ``order`` set, only that total order is kept and rescaled to
-    M_order (no lambda shift); with ``odd_only``, only odd orders are
-    kept and doubled.  Otherwise the result is the full star product.
-    """
+def _operands(f: Observable, g: Observable
+              ) -> tuple[GaussianObservable, GaussianObservable, RateKey, RateKey, int]:
+    """f and g as observables of one dimension, their rate keys and the
+    width in bits of their tables' numerators, once the product's table work
+    is admitted."""
     fo, go = GaussianObservable.of(f), GaussianObservable.of(g)
     if fo.dim != go.dim:
         raise DimensionMismatch(f"dim {fo.dim} vs {go.dim}")
@@ -386,14 +390,27 @@ def _moyal(f: Observable, g: Observable, order: int | None = None,
             _price((a, d, rk), (c, b, sk))
             for fk, gk in zip(_exponent_pairs(fo), _exponent_pairs(go))
             for a, b in fk for c, d in gk))
+    return fo, go, rk, sk, largest.bits
+
+
+def _moyal(f: Observable, g: Observable, order: int | None = None,
+           odd_only: bool = False) -> GaussianObservable:
+    """Sum of the kernel over all pairs of terms.
+
+    With ``order`` set, only that total order is kept and rescaled to
+    M_order (no lambda shift); with ``odd_only``, only odd orders are
+    kept and doubled.  Otherwise the result is the full star product.
+    """
+    fo, go, rk, sk, width = _operands(f, g)
+    dim = fo.dim
     # cf * cg as an integer triple, reduced only in the output
     jobs = [(kf + kg, cf.re_num * cg.re_num - cf.im_num * cg.im_num,
              cf.re_num * cg.im_num + cf.im_num * cg.re_num, cf.den * cg.den,
              [_star_table(af[k], bf[k], rk, ag[k], bg[k], sk) for k in range(dim)])
             for (kf, af, bf), cf in fo.body.terms.items()
             for (kg, ag, bg), cg in go.body.terms.items()]
-    return GaussianObservable._make(_sum(dim, "the product", jobs, largest.bits, order, odd_only),
-                                    r + s)
+    return GaussianObservable._make(_sum(dim, "the product", jobs, width, order, odd_only),
+                                    fo.rate + go.rate)
 
 
 def bidiff_M(f: Observable, g: Observable, b: int) -> GaussianObservable:
@@ -437,14 +454,45 @@ def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
                                     obs.rate)
 
 
+def _p_free(tables: Iterable[tuple[Table, int]]) -> list[Table] | None:
+    """The p-free slice of each (table, top) pair, its entries of order top
+    (the sorted table's last block), or None at the first empty one."""
+    out = []
+    for (den, entries), top in tables:
+        entries = entries[bisect_left(entries, (top,)):]
+        if not entries:
+            return None
+        out.append((den, entries))
+    return out
+
+
+def _star_zero_section(f: Observable, g: Observable) -> GaussianObservable:
+    """``star(f, g).restrict_zero_section()``, summing only the p-free
+    entries of each term pair's tables (order b + d in every dimension).
+
+    A pair with none in some dimension (say no envelope on f and a < d) is
+    dropped before the sum.  The work is priced as the product prices it.
+    """
+    fo, go, rk, sk, width = _operands(f, g)
+    jobs = []
+    for (kf, af, bf), cf in fo.body.terms.items():
+        for (kg, ag, bg), cg in go.body.terms.items():
+            tables = _p_free((_star_table(a, b, rk, c, d, sk), b + d)
+                             for a, b, c, d in zip(af, bf, ag, bg))
+            if tables:
+                jobs.append((kf + kg, cf.re_num * cg.re_num - cf.im_num * cg.im_num,
+                             cf.re_num * cg.im_num + cf.im_num * cg.re_num, cf.den * cg.den,
+                             tables))
+    return GaussianObservable._make(_sum(fo.dim, "the product", jobs, width),
+                                    fo.rate + go.rate)
+
+
 def _s_map_zero_section(f: Observable, direction: str) -> GaussianObservable:
     """``s_map(f, direction).restrict_zero_section()``, summing only the
-    p-free entries of each term's tables.
+    p-free entries of each term's tables (order b in every dimension).
 
-    An entry of order n of the table of q^a p^b holds p^(b - n), so the
-    p-free ones are those of order b, the sorted table's last.  A term
-    with none in some dimension (no envelope and a < b) is dropped before
-    the sum.  The work is priced as s_map prices it.
+    A term with none in some dimension (no envelope and a < b) is dropped
+    before the sum.  The work is priced as s_map prices it.
     """
     obs = GaussianObservable.of(f)
     rk = obs.rate.numerator, obs.rate.denominator
@@ -453,14 +501,8 @@ def _s_map_zero_section(f: Observable, direction: str) -> GaussianObservable:
     sign = -1 if direction == "forward" else 1
     jobs = []
     for (k, alpha, beta), c in obs.body.terms.items():
-        tables = []
-        for a, b in zip(alpha, beta):
-            den, entries = _s_table(a, b, rk, sign)
-            entries = entries[bisect_left(entries, (b,)):]
-            if not entries:
-                break
-            tables.append((den, entries))
-        else:
+        tables = _p_free((_s_table(a, b, rk, sign), b) for a, b in zip(alpha, beta))
+        if tables:
             jobs.append((k, c.re_num, c.im_num, c.den, tables))
     return GaussianObservable._make(_sum(obs.dim, "the symmetrization map", jobs, width),
                                     obs.rate)

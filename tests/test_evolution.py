@@ -245,6 +245,8 @@ def test_group_law_and_inverse():
         a = evolve(evolve(f, Fraction(1, 2), s), Fraction(1, 2), s)
         assert a == evolve(f, 1, s)
         assert evolve(evolve(f, 1, s), -1, s) == f
+        # t = 0 scales a nonzero tail term (p-degree 3 under S_CUBE) to zero
+        assert evolve(f, 0, s) == f
 
 
 @given(polynomials(dim=1, max_terms=2, max_degree=2),

@@ -22,7 +22,7 @@ from starquant.gns import MAX_MOMENT_EXPONENT, MAX_WEYL_MONOMIALS, MAX_WORD_LENG
 from conftest import base_polynomials, observables, polynomials, scalars
 from oracles import (reference_omega0, reference_op_apply_base, reference_op_compose,
                      reference_pi0)
-from test_star import random_polynomial
+from test_star import kernel, random_polynomial
 
 Q = PhasePolynomial.coordinate_q(0, 1)
 P = PhasePolynomial.coordinate_p(0, 1)
@@ -102,6 +102,30 @@ def test_inner0_positivity(f):
     else:
         assert laurent_is_positive(value.coeff)
         assert not gelfand_member0(f)
+
+
+def test_inner0_routes_read_only_their_own_tables(monkeypatch):
+    """inner0 builds no symmetrization-map table and inner0_factorized no
+    star table, so their agreement compares two independent table families."""
+    def refuse(*args):
+        raise AssertionError("the other route's table builder ran")
+
+    rng = random.Random(314159)
+    rates = [0, Fraction(1, 2), 1, 2]
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        r, s = rng.choice(rates), rng.choice(rates[1:])
+        if rng.randrange(2):
+            r, s = s, r
+        f = obs(random_polynomial(rng, dim, 4 - dim, -1, 1, 3), r)
+        g = obs(random_polynomial(rng, dim, 4 - dim, -1, 1, 3), s)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "_s_table", refuse)
+            star_route = inner0(f, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "_star_table", refuse)
+            factorized = inner0_factorized(f, g)
+        assert star_route == factorized
 
 
 def test_l2_form_on_base_functions():

@@ -84,6 +84,17 @@ def test_ab_compare_verdicts():
     # one change run tied with a parent run leaves the spread unresolved
     touching = compare(parent, [130.0] + [140.0] * 9, "higher", 0.1)
     assert touching["unresolved"]
+    # paired rounds (ops) that drift together: the per-side quartiles are wide,
+    # yet each round reads the change 2% higher
+    drift = [1276.0, 977.0, 759.0, 1179.0, 1020.0, 880.0, 1230.0, 800.0, 1100.0, 950.0]
+    steady = [1.02 * p for p in drift]
+    alone = compare(drift, steady, "higher", 0.1)
+    assert alone["unresolved"] and not alone["gain_shown"] and "round_ratio" not in alone
+    paired = compare(drift, steady, "higher", 0.1, paired=True)
+    assert not paired["unresolved"] and paired["gain_shown"] and paired["within_bound"]
+    assert paired["round_ratio"]["median"] == paired["round_ratio"]["q1"] == 1.02
+    # a paired change 30% lower in each round is outside a 0.2 bound
+    assert not compare(drift, [0.7 * p for p in drift], "higher", 0.2, paired=True)["within_bound"]
 
 
 def run_ab(target: str, parent: str, *args: str) -> tuple[int, dict]:
@@ -115,6 +126,12 @@ def test_ab_ops_a_against_itself():
     case = assert_a_against_itself("ops", "--workloads", "transport", "--pairs", "2",
                                    "--cycles", "1")
     assert set(case["metrics"]) == {"ops_per_s"}
+    # the verdicts rest on each round's change/parent ratio
+    verdict = case["metrics"]["ops_per_s"]
+    ratios = [c / p for p, c in zip(verdict["parent"]["runs"], verdict["change"]["runs"])]
+    assert verdict["round_ratio"]["runs"] == pytest.approx(ratios, rel=1e-3)
+    assert verdict["round_ratio"]["q1"] <= verdict["round_ratio"]["median"] <= verdict[
+        "round_ratio"]["q3"]
     # one untimed round of the stream a side, then each op of it once a round
     assert case["attempted"]["parent"] == case["attempted"]["change"]
     assert case["attempted"]["parent"] % 3 == 0

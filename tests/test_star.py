@@ -206,10 +206,11 @@ SLICE_RATES = st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1, 2])
 
 
 @st.composite
-def slice_inputs(draw):
-    """An observable in dims 1-3 plus one term whose p-degree passes its
-    q-degree in some dimension, so that without an envelope it drops."""
-    dim = draw(st.integers(1, 3))
+def slice_inputs(draw, dim=None):
+    """An observable in dims 1-3 (or ``dim``) plus one term whose p-degree
+    passes its q-degree in some dimension, so that without an envelope it
+    drops."""
+    dim = dim or draw(st.integers(1, 3))
     rate = draw(SLICE_RATES)
     f = draw(observables(dim, rate, max_terms=3, max_degree=4 - dim, min_lambda=-1,
                          max_lambda=2))
@@ -233,6 +234,38 @@ def test_p_free_slice_drops_terms_without_an_entry_of_order_b():
     assert kernel._s_map_zero_section(obs(Q * P * P + Q), "backward") == obs(Q)
     # an envelope gives every order an entry
     assert not kernel._s_map_zero_section(obs(Q * P * P, 1), "forward").is_zero()
+
+
+# -- the p-free slice of the star product --------------------------------
+
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(slice_inputs(dim), slice_inputs(dim))))
+@settings(max_examples=80)
+def test_p_free_slice_matches_the_restricted_star(pair):
+    # the rates are drawn per side, and a side at rate 0 whose q-degree is
+    # below the other's p-degree leaves some term pairs an empty slice
+    f, g = pair
+    sliced = kernel._star_zero_section(f, g)
+    assert sliced == star(f, g).restrict_zero_section()
+    assert sliced.rate == (f.rate + g.rate if sliced.body.terms else 0)
+
+
+def test_star_slice_drops_pairs_without_a_p_free_entry(monkeypatch):
+    summed = []
+
+    def spy(dim, what, jobs, *rest):
+        summed.append(jobs)
+        return real(dim, what, jobs, *rest)
+
+    real = kernel._sum
+    monkeypatch.setattr(kernel, "_sum", spy)
+    # p^2 * q has no p-free entry: order 2 would take two q-derivatives of q
+    assert kernel._star_zero_section(obs(P * P + Q), obs(Q)) == obs(Q * Q)
+    assert kernel._star_zero_section(obs(P * P), obs(Q)).is_zero()
+    assert [len(jobs) for jobs in summed] == [1, 0]
+    # an envelope on the right gives every order an entry
+    assert not kernel._star_zero_section(obs(P * P), obs(Q, 1)).is_zero()
+    assert len(summed[-1]) == 1
+    assert all(entries for jobs in summed for job in jobs for _, entries in job[4])
 
 
 # -- the integer tables and the common denominator ----------------------
