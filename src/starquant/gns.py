@@ -8,9 +8,9 @@ q -> (q, 0) of T*R^n.  Everything it induces is computed exactly here:
   through the symmetrization map as an honest L^2 pairing of the two
   projected wave functions, and both routes are implemented so they can
   be checked against each other.  omega0 reads only the zero section, so
-  each route sums only the p-free slice of its own kernel tables, cut by
-  the one helper ``star._p_free``: ``inner0`` the star tables,
-  ``inner0_factorized`` and ``project_H0`` the symmetrization-map tables.
+  each route sums only the p-free block of its own kernel's jobs, which
+  ``star._p_free`` reads off each table: ``inner0`` cuts the star jobs,
+  ``inner0_factorized`` and ``project_H0`` the symmetrization-map jobs.
 * the null ideal of the form is detected by ``gelfand_member0`` and made
   constructive by ``momenta_decompose``, which peels a polynomial
   member into left star-multiples of the momenta.

@@ -52,6 +52,7 @@ Everything here is pure: no method mutates its receiver.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence, Union
@@ -64,13 +65,12 @@ _NO_RATE = Fraction(0)  # the rate of a zero or unenveloped observable
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``slots`` nonnegative ints summing to ``total``."""
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, slots - 1):
-            yield (head,) + tail
+    """All tuples of ``slots`` nonnegative ints summing to ``total``, the
+    first slot slowest, each ascending: stars and bars, with the slots - 1
+    bars placed in lexicographic order among total + slots - 1 places."""
+    end = total + slots - 1
+    for bars in combinations(range(end), slots - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
 def _leibniz_terms(left, right, slots: Sequence[tuple[int, bool]]) -> list:

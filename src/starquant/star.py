@@ -47,15 +47,15 @@ state constructions; its inverse is the conjugate map with the opposite
 sign.  Per dimension it is sum_{m <= b} (-+i*lambda/2)^m/m! (b)_m
 p^(b-m) P(a, m, r).
 
-Zero section.  An entry of order n of a table holds p^(top - n), where
-top is the table's p-degree: b for the s-map table of q^a p^b, b + d for
-the star table of a pair.  So restricting either result to the zero
-section keeps only the entries of order top, the last block of the
-sorted table, and ``_p_free`` cuts that slice out of the same cached
-tables; a term or term pair with an empty slice in some dimension is
-dropped.  ``_s_map_zero_section`` sums that slice for the projection and
-the factorized inner product of ``gns``, and ``_star_zero_section`` for
-its star-route inner product; neither builds the p-dependent rest.
+Zero section.  Each kernel builds its jobs, a term or term pair with one
+table a dimension, in one place: ``_star_jobs`` for star, star_commutator
+and bidiff_M, ``_s_jobs`` for s_map.  An entry of order n of a table holds
+p^(top - n) for the table's p-degree top, so its p-free entries are the
+last block of the sorted table, when that block's last entry holds p^0.
+``_p_free`` reads that cut off each table of a job list and drops a job
+with none in some dimension; ``_star_zero_section`` (the star-route inner
+product of ``gns``) and ``_s_map_zero_section`` (its projection and
+factorized inner product) sum the cut jobs, never the p-dependent rest.
 
 Both refuse an input whose tables would cost more than MAX_TABLE_WORK,
 counted from the exponents alone (products, entries and a bound on their
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, gcd, lcm, log2
@@ -370,11 +371,9 @@ def _sum(dim: int, what: str, jobs: list, width: int, order: int | None = None,
             gc.enable()
 
 
-def _operands(f: Observable, g: Observable
-              ) -> tuple[GaussianObservable, GaussianObservable, RateKey, RateKey, int]:
-    """f and g as observables of one dimension, their rate keys and the
-    width in bits of their tables' numerators, once the product's table work
-    is admitted."""
+def _star_jobs(f: Observable, g: Observable) -> tuple[int, list, int, Fraction]:
+    """(dim, jobs, width, rate) of f * g for ``_sum``, once its table work
+    is admitted: a job per term pair, and its numerators' width in bits."""
     fo, go = GaussianObservable.of(f), GaussianObservable.of(g)
     if fo.dim != go.dim:
         raise DimensionMismatch(f"dim {fo.dim} vs {go.dim}")
@@ -390,7 +389,13 @@ def _operands(f: Observable, g: Observable
             _price((a, d, rk), (c, b, sk))
             for fk, gk in zip(_exponent_pairs(fo), _exponent_pairs(go))
             for a, b in fk for c, d in gk))
-    return fo, go, rk, sk, largest.bits
+    # cf * cg as an integer triple, reduced only in the output
+    jobs = [(kf + kg, cf.re_num * cg.re_num - cf.im_num * cg.im_num,
+             cf.re_num * cg.im_num + cf.im_num * cg.re_num, cf.den * cg.den,
+             [_star_table(af[k], bf[k], rk, ag[k], bg[k], sk) for k in range(dim)])
+            for (kf, af, bf), cf in fo.body.terms.items()
+            for (kg, ag, bg), cg in go.body.terms.items()]
+    return dim, jobs, largest.bits, r + s
 
 
 def _moyal(f: Observable, g: Observable, order: int | None = None,
@@ -401,16 +406,8 @@ def _moyal(f: Observable, g: Observable, order: int | None = None,
     M_order (no lambda shift); with ``odd_only``, only odd orders are
     kept and doubled.  Otherwise the result is the full star product.
     """
-    fo, go, rk, sk, width = _operands(f, g)
-    dim = fo.dim
-    # cf * cg as an integer triple, reduced only in the output
-    jobs = [(kf + kg, cf.re_num * cg.re_num - cf.im_num * cg.im_num,
-             cf.re_num * cg.im_num + cf.im_num * cg.re_num, cf.den * cg.den,
-             [_star_table(af[k], bf[k], rk, ag[k], bg[k], sk) for k in range(dim)])
-            for (kf, af, bf), cf in fo.body.terms.items()
-            for (kg, ag, bg), cg in go.body.terms.items()]
-    return GaussianObservable._make(_sum(dim, "the product", jobs, width, order, odd_only),
-                                    fo.rate + go.rate)
+    dim, jobs, width, rate = _star_jobs(f, g)
+    return GaussianObservable._make(_sum(dim, "the product", jobs, width, order, odd_only), rate)
 
 
 def bidiff_M(f: Observable, g: Observable, b: int) -> GaussianObservable:
@@ -434,12 +431,9 @@ def star_commutator(f: Observable, g: Observable) -> GaussianObservable:
     return _moyal(f, g, odd_only=True)
 
 
-def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
-    """Apply S = exp(-(i*lambda/2) Delta) (forward) or its conjugate inverse.
-
-    The backward direction flips the sign in the exponent and is both
-    the inverse and the complex conjugate of the forward map.
-    """
+def _s_jobs(f: Observable, direction: str) -> tuple[int, list, int, Fraction]:
+    """(dim, jobs, width, rate) of s_map(f, direction) for ``_sum``, once its
+    table work is admitted: a job per term, and its numerators' width in bits."""
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     obs = GaussianObservable.of(f)
@@ -450,59 +444,48 @@ def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
     jobs = [(k, c.re_num, c.im_num, c.den,
              [_s_table(alpha[j], beta[j], rk, sign) for j in range(obs.dim)])
             for (k, alpha, beta), c in obs.body.terms.items()]
-    return GaussianObservable._make(_sum(obs.dim, "the symmetrization map", jobs, width),
-                                    obs.rate)
+    return obs.dim, jobs, width, obs.rate
 
 
-def _p_free(tables: Iterable[tuple[Table, int]]) -> list[Table] | None:
-    """The p-free slice of each (table, top) pair, its entries of order top
-    (the sorted table's last block), or None at the first empty one."""
+def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:
+    """Apply S = exp(-(i*lambda/2) Delta) (forward) or its conjugate inverse.
+
+    The backward direction flips the sign in the exponent and is both
+    the inverse and the complex conjugate of the forward map.
+    """
+    dim, jobs, width, rate = _s_jobs(f, direction)
+    return GaussianObservable._make(_sum(dim, "the symmetrization map", jobs, width), rate)
+
+
+def _p_free(jobs: list) -> list:
+    """The jobs with each table cut to its p-free block, the sorted table's
+    last block when its last entry holds p^0; a job with a table whose last
+    entry holds a power of p has no p-free entry there, and is dropped."""
     out = []
-    for (den, entries), top in tables:
-        entries = entries[bisect_left(entries, (top,)):]
-        if not entries:
-            return None
-        out.append((den, entries))
+    for k, re, im, den, tables in jobs:
+        cut = []
+        for d, entries in tables:
+            n, _, (y,), _ = entries[-1]
+            if y:
+                break
+            cut.append((d, entries[bisect_left(entries, (n,)):]))
+        else:
+            out.append((k, re, im, den, cut))
     return out
 
 
 def _star_zero_section(f: Observable, g: Observable) -> GaussianObservable:
     """``star(f, g).restrict_zero_section()``, summing only the p-free
-    entries of each term pair's tables (order b + d in every dimension).
-
-    A pair with none in some dimension (say no envelope on f and a < d) is
-    dropped before the sum.  The work is priced as the product prices it.
-    """
-    fo, go, rk, sk, width = _operands(f, g)
-    jobs = []
-    for (kf, af, bf), cf in fo.body.terms.items():
-        for (kg, ag, bg), cg in go.body.terms.items():
-            tables = _p_free((_star_table(a, b, rk, c, d, sk), b + d)
-                             for a, b, c, d in zip(af, bf, ag, bg))
-            if tables:
-                jobs.append((kf + kg, cf.re_num * cg.re_num - cf.im_num * cg.im_num,
-                             cf.re_num * cg.im_num + cf.im_num * cg.re_num, cf.den * cg.den,
-                             tables))
-    return GaussianObservable._make(_sum(fo.dim, "the product", jobs, width),
-                                    fo.rate + go.rate)
+    blocks of the product's jobs: a term pair with none in some dimension
+    (say no envelope on f and a < d) is dropped before the sum."""
+    dim, jobs, width, rate = _star_jobs(f, g)
+    return GaussianObservable._make(_sum(dim, "the product", _p_free(jobs), width), rate)
 
 
 def _s_map_zero_section(f: Observable, direction: str) -> GaussianObservable:
     """``s_map(f, direction).restrict_zero_section()``, summing only the
-    p-free entries of each term's tables (order b in every dimension).
-
-    A term with none in some dimension (no envelope and a < b) is dropped
-    before the sum.  The work is priced as s_map prices it.
-    """
-    obs = GaussianObservable.of(f)
-    rk = obs.rate.numerator, obs.rate.denominator
-    width = _check_work("the symmetrization map", (
-        _price((a, b, rk)) for pairs in _exponent_pairs(obs) for a, b in pairs))
-    sign = -1 if direction == "forward" else 1
-    jobs = []
-    for (k, alpha, beta), c in obs.body.terms.items():
-        tables = _p_free((_s_table(a, b, rk, sign), b) for a, b in zip(alpha, beta))
-        if tables:
-            jobs.append((k, c.re_num, c.im_num, c.den, tables))
-    return GaussianObservable._make(_sum(obs.dim, "the symmetrization map", jobs, width),
-                                    obs.rate)
+    p-free blocks of s_map's jobs: a term with none in some dimension (no
+    envelope and a < b) is dropped before the sum."""
+    dim, jobs, width, rate = _s_jobs(f, direction)
+    return GaussianObservable._make(_sum(dim, "the symmetrization map", _p_free(jobs), width),
+                                    rate)

@@ -229,6 +229,8 @@ def test_weyl_check_sweeps_every_monomial_once():
     assert comb(MAX_WORD_LENGTH + 1 + 2, 2) <= MAX_WEYL_MONOMIALS
     with pytest.raises(BudgetExceeded):
         weyl_check(1, MAX_WORD_LENGTH + 1)
+    # degree 0 is one monomial in any dimension, here of 1200 slots
+    assert weyl_check(600, 0) == (1, [])
 
 
 @given(polynomials(dim=1, max_terms=2, max_degree=2),

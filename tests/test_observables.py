@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from starquant import (ActionData, DimensionMismatch, EnvelopeMismatch, Gaussian
                        restrict_zero_section, s_map, star, star_commutator,
                        substitute_momenta)
 
-from starquant.observables import _Numerators, _sum_of_products
+from starquant.observables import _compositions, _Numerators, _sum_of_products
 
 from conftest import base_polynomials, observables, polynomials
 from oracles import reference_poly_mul, reference_substitute_momenta
@@ -35,6 +36,14 @@ def test_canonical_term_order():
     keys = [key for key, _ in poly.sorted_terms()]
     assert keys == sorted(keys)
     assert keys[0][0] == -1  # lambda^-1 sorts first
+
+
+def test_compositions_come_in_lexicographic_order():
+    # weyl_check and the oracles sweep monomials in this order
+    for total in range(7):
+        for slots in range(1, 6):
+            assert list(_compositions(total, slots)) == [
+                c for c in itertools.product(range(total + 1), repeat=slots) if sum(c) == total]
 
 
 @given(polynomials(dim=2, max_terms=3), polynomials(dim=2, max_terms=3),

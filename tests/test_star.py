@@ -418,6 +418,33 @@ def test_combined_entry_budget_refuses_before_any_entry(monkeypatch):
             call()
 
 
+def test_combined_entry_budget_line_falls_between_neighbouring_monomials(monkeypatch):
+    # the square of q1^e p1^e q2^e p2^e q3^e p3^e combines about 211 MiB of
+    # entries at e = 58, past MAX_COMBINED, and about 199 MiB at e = 57;
+    # the price is checked before _combine, so the sentinel marks admission
+    class Admitted(Exception):
+        pass
+
+    def admitted(tables):
+        raise Admitted
+
+    monkeypatch.setattr(kernel, "_combine", admitted)
+
+    def square(e):
+        return obs(PhasePolynomial.monomial(3, 0, (e,) * 3, (e,) * 3))
+
+    for cache in (kernel._star_table, kernel._s_table, kernel._one):
+        cache.cache_clear()
+    past = square(58)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="about 211 MiB"):
+        star(past, past)
+    assert time.perf_counter() - start < 1.0
+    inside = square(57)
+    with pytest.raises(Admitted):
+        star(inside, inside)
+
+
 def test_table_work_budget_counts_each_term_pair_at_its_own_exponents():
     # the tables are (150,0|0,150), (0,150|150,0) and two with one entry;
     # pricing each at the largest q and p exponents overall refused it
