@@ -86,7 +86,7 @@ def _dim(args) -> int:
     if args.dim < 1:
         raise ValueError("dimension must be at least 1")
     if args.dim > MAX_DIM:
-        raise BudgetExceeded(f"dimension {args.dim} exceeds the limit of {MAX_DIM}")
+        raise BudgetExceeded("--dim", args.dim, MAX_DIM, "dimensions")
     return args.dim
 
 
@@ -239,8 +239,8 @@ def _cmd_wkb_solve1d(args):
     pad = max(4, 2 * (args.order + 1))
     values = (args.order + 1) * (n + 2 * pad)
     if values > MAX_GRID_VALUES:
-        raise BudgetExceeded(f"order {args.order} on {n} samples needs {values} grid "
-                             f"values; at most {MAX_GRID_VALUES} are written")
+        raise BudgetExceeded(f"order {args.order} on {n} samples", values, MAX_GRID_VALUES,
+                             "grid values")
     if args.sprime_expr is not None:
         poly = parse_observable(args.sprime_expr, 1, 0).body
         if not poly.is_base_only() or not poly.is_lambda_free() or not poly.is_real():

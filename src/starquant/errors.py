@@ -42,4 +42,13 @@ class PhaseMismatch(StarquantError):
 
 
 class BudgetExceeded(StarquantError):
-    """The input asks for more work than a fixed budget allows."""
+    """What is ``priced`` needs ``count`` ``unit``s, past a fixed budget's ``limit``."""
+
+    def __init__(self, priced: str, count: int, limit: int, unit: str):
+        super().__init__(f"{priced}: {figure(count)} {unit}, over the limit of {figure(limit)}")
+        self.priced, self.count, self.limit, self.unit = priced, count, limit, unit
+
+
+def figure(n: int) -> str:
+    """n, or from 10^15 its .3g form capped at 1e+300, as a longer int has no float form."""
+    return str(n) if n < 10 ** 15 else f"{min(n, 10 ** 300):.3g}"

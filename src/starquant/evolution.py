@@ -269,7 +269,7 @@ def eigenproblem_hierarchy(ham: PhasePolynomial, s: ActionData, energy: Rat,
     if max_order < 0:
         raise ValueError("max order must be nonnegative")
     if max_order > MAX_HIERARCHY_ORDER:
-        raise BudgetExceeded(f"max order {max_order} exceeds {MAX_HIERARCHY_ORDER}")
+        raise BudgetExceeded("the WKB hierarchy", max_order, MAX_HIERARCHY_ORDER, "orders")
     energy = Fraction(energy)
     residual = hj_residual(ham, s, energy)
     if not residual.is_zero():

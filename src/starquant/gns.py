@@ -72,7 +72,7 @@ def _moment_numerator(alpha: Sequence[int]) -> int:
         if e % 2:
             return 0
         if e > MAX_MOMENT_EXPONENT:
-            raise BudgetExceeded(f"moment exponent {e} exceeds {MAX_MOMENT_EXPONENT}")
+            raise BudgetExceeded("a Gaussian moment", e, MAX_MOMENT_EXPONENT, "degrees")
         out *= _double_factorial(e - 1)
     return out
 
@@ -400,15 +400,15 @@ def weyl_check(dim: int, max_degree: int
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if max_degree > MAX_WORD_LENGTH:
-        raise BudgetExceeded(f"degree {max_degree} exceeds the oracle's word length "
-                             f"{MAX_WORD_LENGTH}")
+        raise BudgetExceeded("a symmetrized word", max_degree, MAX_WORD_LENGTH, "letters")
     # C(top, 2n) >= top once max_degree >= 1, so a large dimension or
     # degree is refused before the binomial itself gets costly
     top = max_degree + 2 * dim
-    if max_degree >= 1 and (top > MAX_WEYL_MONOMIALS
-                            or comb(top, 2 * dim) > MAX_WEYL_MONOMIALS):
-        raise BudgetExceeded(f"degree <= {max_degree} in dim {dim} has C({top}, {2 * dim}) "
-                             f"monomials; at most {MAX_WEYL_MONOMIALS} are checked")
+    if max_degree >= 1:
+        count = top if top > MAX_WEYL_MONOMIALS else comb(top, 2 * dim)
+        if count > MAX_WEYL_MONOMIALS:
+            raise BudgetExceeded(f"degree <= {max_degree} in dim {dim}", count,
+                                 MAX_WEYL_MONOMIALS, "monomials")
     checked = 0
     mismatches = []
     for degree in range(max_degree + 1):

@@ -218,29 +218,24 @@ class _Parser:
                 # only reachable for lambda, checked in exponent()
                 return PhasePolynomial.lam(self.dim, exponent)
             t = len(base.terms)
+            priced = f"{base_tok.line}:{base_tok.column}: power {exponent} of a {t}-term base"
             terms = 1
             if t > 1 and exponent > 0:
                 # C(top, t - 1) >= top once t >= 2 and exponent >= 1
                 top = exponent + t - 1
                 terms = top if top > MAX_POWER_TERMS else comb(top, t - 1)
                 if terms > MAX_POWER_TERMS:
-                    raise BudgetExceeded(
-                        f"{base_tok.line}:{base_tok.column}: power {exponent} of a "
-                        f"{t}-term base may expand to more than {MAX_POWER_TERMS} terms")
+                    raise BudgetExceeded(priced, terms, MAX_POWER_TERMS, "terms")
             # units (1, -1, i, -i) add no bits; (x - 1).bit_length() >= log2(x)
             growth = max(((abs(c.re_num) + abs(c.im_num) - 1).bit_length()
                           + (c.den - 1).bit_length() for c in base.terms.values()),
                          default=0)
             bits = exponent * growth
             if bits > MAX_POWER_BITS:
-                raise BudgetExceeded(
-                    f"{base_tok.line}:{base_tok.column}: power {exponent} may give "
-                    f"coefficients of more than {MAX_POWER_BITS} bits")
+                raise BudgetExceeded(priced, bits, MAX_POWER_BITS, "coefficient bits")
             if terms * bits > MAX_POWER_WORK:
-                raise BudgetExceeded(
-                    f"{base_tok.line}:{base_tok.column}: power {exponent} may expand to "
-                    f"{terms} terms of up to {bits} bits; at most {MAX_POWER_WORK} term-bits "
-                    f"are expanded")
+                raise BudgetExceeded(f"{priced}, {terms} terms of up to {bits} bits",
+                                     terms * bits, MAX_POWER_WORK, "term-bits")
             return base ** exponent
         return base
 

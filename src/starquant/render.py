@@ -54,8 +54,7 @@ def _int_str(n: int) -> str:
         if abs(n) >= 10 ** digits:
             digits += 1
         if digits > limit:
-            raise BudgetExceeded(f"an integer of {digits} digits exceeds the limit of "
-                                 f"{limit} digits for printing")
+            raise BudgetExceeded("printing an integer", digits, limit, "digits")
     return str(n)
 
 
@@ -105,37 +104,33 @@ def _power(symbol: str, exponent: int) -> str:
 
 def _monomial_factors(k: int, alpha: tuple[int, ...], beta: tuple[int, ...],
                       dim: int) -> list[str]:
-    parts = []
-    if k:
-        parts.append(_power("lambda", k))
-    for j, e in enumerate(alpha):
-        if e:
-            parts.append(_power(_coord("q", j, dim), e))
-    for j, e in enumerate(beta):
-        if e:
-            parts.append(_power(_coord("p", j, dim), e))
-    return parts
+    return (([_power("lambda", k)] if k else []) + _powers("q", alpha, dim)
+            + _powers("p", beta, dim))
+
+
+def _powers(letter: str, exponents: tuple[int, ...], dim: int) -> list[str]:
+    """The powers of the coordinates named letter with a nonzero exponent."""
+    return [_power(_coord(letter, j, dim), e) for j, e in enumerate(exponents) if e]
 
 
 def _join_terms(chunks: list[tuple[int, str]]) -> str:
     if not chunks:
         return "0"
-    out = []
-    for idx, (sign, body) in enumerate(chunks):
-        if idx == 0:
-            out.append(body if sign > 0 else f"-{body}")
-        else:
-            out.append(f" {'+' if sign > 0 else '-'} {body}")
-    return "".join(out)
+    (sign, body), rest = chunks[0], chunks[1:]
+    return (body if sign > 0 else f"-{body}") + "".join(
+        f" {'+' if sign > 0 else '-'} {body}" for sign, body in rest)
+
+
+def _chunk(c: Scalar, factors: list[str]) -> tuple[int, str]:
+    """The sign and the body of the term c times factors."""
+    sign, factor = _signed_coeff(c)
+    factors = ([factor] if factor else []) + factors
+    return sign, "*".join(factors) if factors else "1"
 
 
 def pretty_polynomial(poly: "PhasePolynomial") -> str:
-    chunks = []
-    for (k, alpha, beta), c in poly.sorted_terms():
-        sign, factor = _signed_coeff(c)
-        factors = ([factor] if factor else []) + _monomial_factors(k, alpha, beta, poly.dim)
-        chunks.append((sign, "*".join(factors) if factors else "1"))
-    return _join_terms(chunks)
+    return _join_terms([_chunk(c, _monomial_factors(k, alpha, beta, poly.dim))
+                        for (k, alpha, beta), c in poly.sorted_terms()])
 
 
 def pretty_observable(obs: "GaussianObservable") -> str:
@@ -147,19 +142,12 @@ def pretty_observable(obs: "GaussianObservable") -> str:
 def pretty_operator(op: "SchrodingerOperator") -> str:
     chunks: list[tuple[int, str]] = []
     for (k, gamma), coeff in op.sorted_terms():
-        derivative = []
-        for j, e in enumerate(gamma):
-            if e:
-                derivative.append(_power(_coord("d", j, op.dim), e))
+        derivative = _powers("d", gamma, op.dim)
         prefix = [_power("lambda", k)] if k else []
         terms = coeff.sorted_terms()
         if len(terms) == 1:
             (_, alpha, _), c = terms[0]
-            sign, factor = _signed_coeff(c)
-            factors = ([factor] if factor else []) + prefix
-            factors += _monomial_factors(0, alpha, (0,) * op.dim, op.dim)
-            factors += derivative
-            chunks.append((sign, "*".join(factors) if factors else "1"))
+            chunks.append(_chunk(c, prefix + _powers("q", alpha, op.dim) + derivative))
         else:
             factors = prefix + [f"({pretty_polynomial(coeff)})"] + derivative
             chunks.append((1, "*".join(factors)))
@@ -170,12 +158,8 @@ def pretty_operator(op: "SchrodingerOperator") -> str:
 
 
 def pretty_series(series: LaurentSeries) -> str:
-    chunks: list[tuple[int, str]] = []
-    for k, c in series.sorted_items():
-        sign, factor = _signed_coeff(c)
-        factors = ([factor] if factor else []) + ([_power("lambda", k)] if k else [])
-        chunks.append((sign, "*".join(factors) if factors else "1"))
-    return _join_terms(chunks)
+    return _join_terms([_chunk(c, [_power("lambda", k)] if k else [])
+                        for k, c in series.sorted_items()])
 
 
 def pretty_value(value: IntegralValue) -> str:

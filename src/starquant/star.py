@@ -73,7 +73,7 @@ from itertools import product
 from math import factorial, gcd, lcm, log2
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import BudgetExceeded, DimensionMismatch
+from .errors import BudgetExceeded, DimensionMismatch, figure
 from .observables import GaussianObservable, Observable, PhasePolynomial
 
 _CACHE_SIZE = 2048  # entries per kernel cache
@@ -239,17 +239,27 @@ def _exponent_pairs(f: GaussianObservable) -> list[set[tuple[int, int]]]:
     return [set(zip(qs, ps)) for qs, ps in zip(zip(*alphas), zip(*betas))]
 
 
-def _check_work(what: str, prices: Iterable[Price]) -> int:
-    """The most bits of the priced tables; pricing stops once over budget."""
-    work = bits = 0
+def _check_work(what: str, prices: Iterable[Price]) -> tuple[int, int]:
+    """The most bits and the top cost of the priced tables; pricing stops
+    once over budget."""
+    work = bits = top = 0
     for price in prices:
         work += price.cost
         if work > MAX_TABLE_WORK:
-            # (an int past the float range has no .3g form)
-            raise BudgetExceeded(f"{what} needs at least {min(work, 10 ** 300):.3g} units "
-                                 f"of table work; at most {MAX_TABLE_WORK} are done")
-        bits = max(bits, price.bits)
-    return bits
+            raise BudgetExceeded(f"{what}, at least", work, MAX_TABLE_WORK,
+                                 "units of table work")
+        bits, top = max(bits, price.bits), max(top, price.cost)
+    return bits, top
+
+
+def _kept(table, top: int):
+    """``table`` when a call's costliest table prices ``top``, at most twice
+    MAX_TABLE_WORK over the cache's slots (the benchmark's top is 152,708);
+    else a cache that lives for the call: one table near the line holds
+    about 16 MB, and twelve such calls that kept theirs peaked at 276 MB."""
+    if top <= 2 * MAX_TABLE_WORK // _CACHE_SIZE:
+        return table
+    return lru_cache(None)(table.__wrapped__)
 
 
 def _table(den: int, acc: dict[tuple[int, int], int], y0: int) -> Table:
@@ -333,9 +343,8 @@ def _sum(dim: int, what: str, jobs: list, width: int, order: int | None = None,
         size += count
     held = size * (ENTRY_BYTES + dim * width // 4)
     if held > MAX_COMBINED:
-        raise BudgetExceeded(f"{what} combines about {size:.3g} table entries of up to "
-                             f"{dim * width} bits, about {held >> 20} MiB; at most "
-                             f"{MAX_COMBINED >> 20} MiB are held")
+        raise BudgetExceeded(f"{what}, {figure(size)} table entries of up to {dim * width} bits",
+                             held, MAX_COMBINED, "bytes")
     # every slot and key lives until the sum is done, so the cyclic collector
     # could free none of them, yet near MAX_COMBINED it took half the time
     collecting = gc.isenabled()
@@ -389,10 +398,11 @@ def _star_jobs(f: Observable, g: Observable) -> tuple[int, list, int, Fraction]:
             _price((a, d, rk), (c, b, sk))
             for fk, gk in zip(_exponent_pairs(fo), _exponent_pairs(go))
             for a, b in fk for c, d in gk))
+    table = _kept(_star_table, largest.cost)
     # cf * cg as an integer triple, reduced only in the output
     jobs = [(kf + kg, cf.re_num * cg.re_num - cf.im_num * cg.im_num,
              cf.re_num * cg.im_num + cf.im_num * cg.re_num, cf.den * cg.den,
-             [_star_table(af[k], bf[k], rk, ag[k], bg[k], sk) for k in range(dim)])
+             [table(af[k], bf[k], rk, ag[k], bg[k], sk) for k in range(dim)])
             for (kf, af, bf), cf in fo.body.terms.items()
             for (kg, ag, bg), cg in go.body.terms.items()]
     return dim, jobs, largest.bits, r + s
@@ -438,11 +448,12 @@ def _s_jobs(f: Observable, direction: str) -> tuple[int, list, int, Fraction]:
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     obs = GaussianObservable.of(f)
     rk = obs.rate.numerator, obs.rate.denominator
-    width = _check_work("the symmetrization map", (
+    width, top = _check_work("the symmetrization map", (
         _price((a, b, rk)) for pairs in _exponent_pairs(obs) for a, b in pairs))
+    table = _kept(_s_table, top)
     sign = -1 if direction == "forward" else 1
     jobs = [(k, c.re_num, c.im_num, c.den,
-             [_s_table(alpha[j], beta[j], rk, sign) for j in range(obs.dim)])
+             [table(alpha[j], beta[j], rk, sign) for j in range(obs.dim)])
             for (k, alpha, beta), c in obs.body.terms.items()]
     return obs.dim, jobs, width, obs.rate
 

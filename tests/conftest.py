@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from starquant import GaussianObservable, PhasePolynomial, Scalar
+from starquant import BudgetExceeded, GaussianObservable, PhasePolynomial, Scalar
 
 settings.register_profile(
     "suite", deadline=None, max_examples=50,
@@ -15,6 +17,15 @@ settings.load_profile("suite")
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalars = st.builds(Scalar, small_fractions, small_fractions)
 real_scalars = st.builds(Scalar, small_fractions)
+
+
+@contextmanager
+def refused(priced: str, count: int, limit: int, unit: str):
+    """Expect a BudgetExceeded of exactly these four values."""
+    with pytest.raises(BudgetExceeded) as info:
+        yield
+    error = info.value
+    assert (error.priced, error.count, error.limit, error.unit) == (priced, count, limit, unit)
 
 
 def term_keys(dim: int, max_degree: int, min_lambda: int, max_lambda: int):

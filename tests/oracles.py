@@ -376,7 +376,7 @@ def reference_gaussian_moment(exponent: int, rate: Fraction) -> Fraction:
     if exponent % 2 == 1:
         return Fraction(0)
     if exponent > MAX_MOMENT_EXPONENT:
-        raise BudgetExceeded(f"moment exponent {exponent} exceeds {MAX_MOMENT_EXPONENT}")
+        raise BudgetExceeded("a Gaussian moment", exponent, MAX_MOMENT_EXPONENT, "degrees")
     return Fraction(prod(range(exponent - 1, 0, -2))) / (2 * rate) ** (exponent // 2)
 
 

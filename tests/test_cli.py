@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,8 @@ def test_weyl_check_budget_exits_3_fast(capsys):
     assert len(lines) == 1
     body = json.loads(lines[0])
     assert body["error"] == "BudgetExceeded"
-    assert "C(131, 128) monomials" in body["message"]
+    assert body["message"] == str(errors.BudgetExceeded("degree <= 3 in dim 64", comb(131, 128),
+                                                        300, "monomials"))
     # the check itself must not evaluate C(10^9 + 2*10^6, 2*10^6): that takes
     # minutes; the CLI refuses such a dimension before, the library here
     with pytest.raises(errors.BudgetExceeded):
@@ -215,7 +217,8 @@ def test_integers_past_the_digit_limit_exit_3_with_budget_error(capsys, argv):
     assert (code, out) == (3, "")
     body = json.loads(err)
     assert body["error"] == "BudgetExceeded"
-    assert "digits exceeds the limit of 4300 digits" in body["message"]
+    assert body["message"].startswith("printing an integer: ")
+    assert body["message"].endswith(" digits, over the limit of 4300")
 
 
 def test_reused_parser_matches_fresh_parsers(capsys):
@@ -509,6 +512,8 @@ ERROR_CLASSES = [cls for cls in vars(errors).values() if isinstance(cls, type)
 @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_package_error_exits_3(capsys, monkeypatch, error):
     def failing_star(*args):
+        if error is errors.BudgetExceeded:
+            raise error("the handler", 2, 1, "units")
         raise error("raised by the handler")
 
     monkeypatch.setattr(cli, "star", failing_star)
@@ -642,6 +647,42 @@ HIERARCHY_ARGV = ["wkb", "hierarchy", "--ham", "p^2+1-q^2", "--action", "q^2/2",
                   "--energy", "1", "--order", "1"]
 SOLVE1D_ARGV = ["wkb", "solve1d", "--sprime-expr", "q", "--interval", "1", "2",
                 "--samples", "16", "--order", "0", "--bc", "1"]
+
+
+def test_grid_values_at_the_limit_are_written(capsys, monkeypatch):
+    # order 1 pads by 4: 2 (n + 8) values, exactly MAX_GRID_VALUES at n = 2^20 - 8
+    def no_grid(*args):
+        raise GridBuilt
+
+    monkeypatch.setattr(GridFunction1D, "from_callable", staticmethod(no_grid))
+    argv = SOLVE1D_ARGV[:-4] + ["--order", "1", "--bc", "1", "--samples"]
+    with pytest.raises(GridBuilt):
+        main(argv + [str(2 ** 20 - 8)])
+    code, out, err = run(capsys, *argv, str(2 ** 20 - 7), "--json")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["message"] == str(errors.BudgetExceeded(
+        "order 1 on 1048569 samples", MAX_GRID_VALUES + 2, MAX_GRID_VALUES, "grid values"))
+
+
+@pytest.mark.parametrize("argv, inside, refusal", [
+    (["star", "q1", "p1", "--dim"], "64", ("--dim", 65, 64, "dimensions")),
+    (HIERARCHY_ARGV[:-1], "1000", ("the WKB hierarchy", 1001, 1000, "orders"))])
+def test_refusal_just_past_the_line_names_its_four_values(capsys, argv, inside, refusal):
+    code, _, err = run(capsys, *argv, inside, "--json")
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, *argv, str(int(inside) + 1), "--json")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "BudgetExceeded",
+                               "message": str(errors.BudgetExceeded(*refusal))}
+
+
+def test_power_bits_past_the_float_range_are_refused_in_one_line(capsys):
+    # 4299 nines parse as an int; the bit count, 4299 digits long, has no
+    # float or decimal form, so its message gives it capped at 1e+300
+    code, out, err = run(capsys, "star", "2^" + "9" * 4299, "p", "--json")
+    assert_one_error_line(code, out, err, "BudgetExceeded")
+    message = json.loads(err)["message"]
+    assert message.endswith(": 1e+300 coefficient bits, over the limit of 65536")
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from starquant import (BudgetExceeded, DimensionMismatch, GaussianObservable, IntegralValue,
+from starquant import (DimensionMismatch, GaussianObservable, IntegralValue,
                        LaurentSeries, NonIntegrable, NotInIdeal, PhasePolynomial, Scalar,
                        SchrodingerOperator, conjugate, gaussian_moment,
                        gelfand_member0, inner0, inner0_factorized,
@@ -19,7 +19,7 @@ from starquant import (BudgetExceeded, DimensionMismatch, GaussianObservable, In
                        weyl_check, weyl_symmetrize_oracle)
 from starquant.gns import MAX_MOMENT_EXPONENT, MAX_WEYL_MONOMIALS, MAX_WORD_LENGTH
 
-from conftest import base_polynomials, observables, polynomials, scalars
+from conftest import base_polynomials, observables, polynomials, refused, scalars
 from oracles import (reference_omega0, reference_op_apply_base, reference_op_compose,
                      reference_pi0)
 from test_star import kernel, random_polynomial
@@ -51,7 +51,7 @@ def test_gaussian_moment_frozen_values():
 def test_gaussian_moment_exponent_budget():
     assert gaussian_moment(MAX_MOMENT_EXPONENT, Fraction(1)) > 0
     assert gaussian_moment(10 ** 8 + 1, Fraction(1)) == 0  # odd: no product
-    with pytest.raises(BudgetExceeded):
+    with refused("a Gaussian moment", MAX_MOMENT_EXPONENT + 2, MAX_MOMENT_EXPONENT, "degrees"):
         gaussian_moment(MAX_MOMENT_EXPONENT + 2, Fraction(1))
 
 
@@ -222,12 +222,12 @@ def test_weyl_check_sweeps_every_monomial_once():
         weyl_check(0, 2)
     # C(7 + 4, 4) = 330 monomials is over the budget, refused before any work
     assert comb(6 + 4, 4) <= MAX_WEYL_MONOMIALS < comb(7 + 4, 4)
-    with pytest.raises(BudgetExceeded):
+    with refused("degree <= 7 in dim 2", 330, MAX_WEYL_MONOMIALS, "monomials"):
         weyl_check(2, 7)
-    assert weyl_check(1, -1) == (0, [])
+    assert weyl_check(1, -1) == weyl_check(1, -5) == (0, [])
     # the oracle refuses longer words, so a higher degree is refused up front
     assert comb(MAX_WORD_LENGTH + 1 + 2, 2) <= MAX_WEYL_MONOMIALS
-    with pytest.raises(BudgetExceeded):
+    with refused("a symmetrized word", 9, MAX_WORD_LENGTH, "letters"):
         weyl_check(1, MAX_WORD_LENGTH + 1)
     # degree 0 is one monomial in any dimension, here of 1200 slots
     assert weyl_check(600, 0) == (1, [])
@@ -367,17 +367,18 @@ def test_omega0_budget_order_matches_the_fraction_route():
     big = MAX_MOMENT_EXPONENT + 2
     skipped = obs(PhasePolynomial.monomial(2, 0, (3, big), (0, 0)) + PhasePolynomial.one(2), 1)
     assert omega0(skipped) == reference_omega0(skipped) == omega0(obs(PhasePolynomial.one(2), 1))
-    refused = obs(PhasePolynomial.monomial(2, 0, (big, 3), (0, 0)), 1)
+    over = obs(PhasePolynomial.monomial(2, 0, (big, 3), (0, 0)), 1)
     for route in (omega0, reference_omega0):
-        with pytest.raises(BudgetExceeded):
-            route(refused)
+        with refused("a Gaussian moment", big, MAX_MOMENT_EXPONENT, "degrees"):
+            route(over)
 
 
 def test_projection_sums_only_the_p_free_slice():
     # s_map holds 11^6 combined entries here, past the byte budget; the
     # projection holds one: per dimension (-i lambda/2)^10 / 10! (10)_10 10!
     f = obs(PhasePolynomial.monomial(6, 0, (10,) * 6, (10,) * 6))
-    with pytest.raises(BudgetExceeded, match="table entries"):
+    with refused("the symmetrization map, 1771561 table entries of up to 210 bits",
+                 11 ** 6 * (kernel.ENTRY_BYTES + 210 // 4), kernel.MAX_COMBINED, "bytes"):
         s_map(f)
     weight = Fraction(-math.factorial(10), 2 ** 10)
     assert project_H0(f) == obs(PhasePolynomial.lam(6, 60, weight ** 6))

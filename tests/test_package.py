@@ -231,6 +231,43 @@ def test_numpy_is_imported_only_by_the_grid_tier():
     assert scopes == {"wkb", "cli._cmd_wkb_solve1d"}
 
 
+def budget_refusals(path: Path) -> list[ast.Call]:
+    """The ``BudgetExceeded(...)`` calls of one source file."""
+    return [node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "BudgetExceeded"]
+
+
+def test_every_budget_refusal_passes_its_four_values():
+    # BudgetExceeded(priced, count, limit, unit) words every refusal once, so
+    # a call passes what was priced, its count, the limit and a literal unit,
+    # never a message of its own
+    package = Path(starquant.__file__).resolve().parent
+    calls = [(path.name, call) for path in sorted(package.glob("*.py"))
+             for call in budget_refusals(path)]
+    assert len(calls) >= 12
+    for name, call in calls:
+        where = f"{name}:{call.lineno}"
+        assert len(call.args) == 4 and not call.keywords, where
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args), where
+        _, count, limit, unit = call.args
+        for number in (count, limit):
+            assert not isinstance(number, ast.JoinedStr), where
+            assert not (isinstance(number, ast.Constant) and isinstance(number.value, str)), where
+        assert isinstance(unit, ast.Constant) and isinstance(unit.value, str), where
+
+
+def test_a_refusal_prints_counts_of_any_size():
+    # from 10^15 a count is shown in .3g form; past 1e308 it has no float
+    # form, and past the interpreter's digit limit no decimal one either
+    for count, shown in ((65, "65"), (10 ** 15 - 1, "999999999999999"), (10 ** 15, "1e+15"),
+                         (10 ** 5000, "1e+300")):
+        error = starquant.BudgetExceeded("a call", count, 64, "units")
+        assert str(error) == f"a call: {shown} units, over the limit of 64"
+        assert (error.priced, error.count, error.limit, error.unit) == ("a call", count, 64,
+                                                                        "units")
+
+
 def test_ab_cli_a_against_itself():
     case = assert_a_against_itself("cli", "--pairs", "2", "--", "star", "q", "p")
     assert set(case["metrics"]) == {"wall_s", "peak_rss_mb"}

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import factorial, gcd, perm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,7 @@ from starquant import (BudgetExceeded, EnvelopeMismatch, GaussianObservable,
                        PhasePolynomial, Scalar, bidiff_M, conjugate, i_power, s_map,
                        star, star_commutator)
 
-from conftest import observables, polynomials
+from conftest import observables, polynomials, refused
 from oracles import (bopp_star, reference_bidiff_M, reference_order_bound,
                      reference_s_map, reference_s_table, reference_star,
                      reference_star_commutator, reference_star_table)
@@ -408,14 +412,31 @@ def test_combined_entry_budget_refuses_before_any_entry(monkeypatch):
     def monomial(dim, a, b):
         return obs(PhasePolynomial.monomial(dim, 0, (a,) * dim, (b,) * dim))
 
-    # cheap tables of 6 entries a dimension, 6^8 entries combined
+    # cheap tables of 6 entries a dimension of 16 bits, 6^8 entries combined,
+    # each at ENTRY_BYTES plus a quarter byte per bit
     f, g = monomial(8, 2, 3), monomial(8, 3, 2)
-    for call in (lambda: star(f, g), lambda: star_commutator(f, g),
-                 lambda: bidiff_M(f, g, 5),
-                 # 11 entries a dimension, 11^6 combined
-                 lambda: s_map(monomial(6, 10, 10))):
-        with pytest.raises(BudgetExceeded, match="table entries"):
+    product = ("the product, 1679616 table entries of up to 128 bits",
+               6 ** 8 * (kernel.ENTRY_BYTES + 128 // 4))
+    for call, (priced, held) in (
+            (lambda: star(f, g), product), (lambda: star_commutator(f, g), product),
+            (lambda: bidiff_M(f, g, 5), product),
+            # 11 entries a dimension of 35 bits, 11^6 combined
+            (lambda: s_map(monomial(6, 10, 10)),
+             ("the symmetrization map, 1771561 table entries of up to 210 bits",
+              11 ** 6 * (kernel.ENTRY_BYTES + 210 // 4)))):
+        with refused(priced, held, kernel.MAX_COMBINED, "bytes"):
             call()
+
+
+def test_combined_entry_count_past_the_float_range_is_refused():
+    # 2 entries a dimension of 7 bits in dim 1100: 2^1100 combined entries
+    # have no float form, and the refusal once raised OverflowError on it
+    dim = 1100
+    f, g = (obs(PhasePolynomial.monomial(dim, 0, (1,) * dim, (0,) * dim)),
+            obs(PhasePolynomial.monomial(dim, 0, (0,) * dim, (1,) * dim)))
+    with refused("the product, 1e+300 table entries of up to 7700 bits",
+                 2 ** dim * (kernel.ENTRY_BYTES + 7700 // 4), kernel.MAX_COMBINED, "bytes"):
+        star(f, g)
 
 
 def test_combined_entry_budget_line_falls_between_neighbouring_monomials(monkeypatch):
@@ -437,7 +458,8 @@ def test_combined_entry_budget_line_falls_between_neighbouring_monomials(monkeyp
         cache.cache_clear()
     past = square(58)
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="about 211 MiB"):
+    with refused("the product, 205379 table entries of up to 1752 bits", 221_398_562,
+                 200 << 20, "bytes"):
         star(past, past)
     assert time.perf_counter() - start < 1.0
     inside = square(57)
@@ -462,6 +484,38 @@ def test_table_work_budget_admits_large_monomials():
     assert star(obs(P ** 100000000), obs(P ** 100000000)) == obs(P ** 200000000)
     assert s_map(obs(P ** 100000000)) == obs(P ** 100000000)
     assert star(obs(Q ** 2000), obs(PhasePolynomial.one(1))) == obs(Q ** 2000)
+
+
+def test_tables_priced_past_the_cache_share_are_not_kept():
+    # near the line one table holds about 16 MB; kept in the caches, ten
+    # calls raised the peak RSS from 17 MB to 242 MB.  A call with a table
+    # priced past the caches' share keeps none of its tables
+    share = 2 * kernel.MAX_TABLE_WORK // kernel._CACHE_SIZE
+    assert kernel._price((4608, 4608, (0, 1)), (0, 0, (0, 1))).cost > share
+    for cache in (kernel._star_table, kernel._s_table):
+        cache.cache_clear()
+    f, g = obs(Q ** 4608 + Q), obs(P ** 4608)
+    # the table of q and p^4608, built apart, is the same
+    assert star(f, g) == star(obs(Q ** 4608), g) + star(obs(Q), g)
+    assert kernel._star_table.cache_info().currsize == 1
+    kernel._star_table.cache_clear()
+    star(f, g)
+    s_map(obs(Q ** 4610 * P ** 4610 + Q * P))
+    assert kernel._star_table.cache_info().currsize == kernel._s_table.cache_info().currsize == 0
+
+
+def test_near_line_calls_stay_below_256_mb():
+    # twelve admitted calls in one fresh process: ru_maxrss is in KiB
+    code = ("import resource\n"
+            "from starquant import parse_observable as parse, star\n"
+            "for a in range(4586, 4609, 2):\n"
+            "    star(parse(f'q^{a}', 1), parse(f'p^{a}', 1))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(kernel.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 256 << 10
 
 
 def test_enveloped_factor_is_priced_at_its_hermite_terms():

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import starquant
-from starquant import (ActionData, BudgetExceeded, DimensionMismatch, GridFunction1D,
+from starquant import (ActionData, DimensionMismatch, GridFunction1D,
                        GridTooCoarse, HamiltonJacobiViolated, PhasePolynomial,
                        Scalar, SchrodingerOperator, TurningPointError,
                        WKBSolution, eigenproblem_hierarchy, fornberg_weights,
@@ -25,7 +25,7 @@ from starquant import (ActionData, BudgetExceeded, DimensionMismatch, GridFuncti
 from starquant.evolution import MAX_HIERARCHY_ORDER
 from starquant.wkb import _central_weights, _cumulative_simpson, _eval_base_poly, _not_a_knot_spline
 
-from conftest import base_polynomials, real_scalars
+from conftest import base_polynomials, real_scalars, refused
 from oracles import exact_poly_at, exact_transport
 
 Q = PhasePolynomial.coordinate_q(0, 1)
@@ -127,7 +127,7 @@ def test_hierarchy_rejections():
     # orders past the last nonzero one are zero padding, capped
     assert len(eigenproblem_hierarchy(HAM, S_QUAD, 1, MAX_HIERARCHY_ORDER).orders) == \
         MAX_HIERARCHY_ORDER + 1
-    with pytest.raises(BudgetExceeded):
+    with refused("the WKB hierarchy", 1001, MAX_HIERARCHY_ORDER, "orders"):
         eigenproblem_hierarchy(HAM, S_QUAD, 1, MAX_HIERARCHY_ORDER + 1)
 
 
