@@ -57,7 +57,7 @@ from .errors import BudgetExceeded, DimensionMismatch, HamiltonJacobiViolated
 from .gns import SchrodingerOperator, gelfand_member0, omega0, pi0
 from .observables import (GaussianObservable, Observable, PhasePolynomial, _leibniz_terms,
                           _Numerators, _sum_of_products)
-from .scalars import I, IntegralValue, Rat, Scalar
+from .scalars import I, IntegralValue, Rat, Scalar, _frac
 
 # Largest max_order of eigenproblem_hierarchy.  Orders past the last
 # nonzero operator are zero padding, each one printed by the CLI, so an
@@ -102,7 +102,7 @@ def fiber_flow(f: Observable, t: Rat, s: ActionData) -> GaussianObservable:
     """Pull back along the fiber translation p_k -> p_k - t d_k S."""
     obs = GaussianObservable.of(f)
     _check_dims(obs, s)
-    return GaussianObservable._make(obs.body._shift_momenta(s.gradient, -Fraction(t)), obs.rate)
+    return GaussianObservable._make(obs.body._shift_momenta(s.gradient, -_frac(t)), obs.rate)
 
 
 def _fiber_apply(f: GaussianObservable, s: ActionData) -> GaussianObservable:
@@ -125,7 +125,7 @@ def _source_apply(f: GaussianObservable, s: ActionData) -> GaussianObservable:
                                        [(j, False) for j in range(f.dim)]):
         b = sum(a)
         if b >= 3 and b % 2:  # i^(b+1) / (2^(b-1) a!) lambda^(b-1); i^(b+1) = b % 4 - 2
-            jobs.append((b - 1, b % 4 - 2, 0, w << (b - 1), ds.parts[0], df.parts[0]))
+            jobs.append((b - 1, b % 4 - 2, 0, w << (b - 1), ds.parts[0, 1], df.parts[0, 1]))
     return GaussianObservable._make(_sum_of_products(f.dim, jobs), f.rate)
 
 
@@ -161,7 +161,7 @@ def evolve(f: Observable, t: Rat, s: ActionData) -> GaussianObservable:
     """
     obs = GaussianObservable.of(f)
     _check_dims(obs, s)
-    t = Fraction(t)
+    t = _frac(t)
     return fiber_flow(_exp_source(obs, t, s), t, s)
 
 

@@ -39,6 +39,7 @@ from .scalars import I, IntegralValue, LaurentSeries, Rat, Scalar, i_power
 from .star import _s_map_zero_section, _star_zero_section, s_map, star
 
 OpKey = tuple[int, tuple[int, ...]]
+_UNIT_RATE = Fraction(1)  # the unit rate of a zero value
 
 # Longest operator word weyl_symmetrize_oracle averages: a word of m
 # letters has up to m! orderings, each composed factor by factor.
@@ -102,7 +103,7 @@ def omega0(f: Observable) -> IntegralValue:
     base = obs.restrict_zero_section()
     n = obs.dim
     if base.is_zero():
-        return IntegralValue(LaurentSeries.zero(), Fraction(1), n)
+        return IntegralValue._make(LaurentSeries._from_clean({}), _UNIT_RATE, n)
     if base.rate == 0:
         raise NonIntegrable("restriction is a nonzero polynomial with no envelope")
     up, down = base.rate.denominator, 2 * base.rate.numerator
@@ -121,9 +122,8 @@ def omega0(f: Observable) -> IntegralValue:
         slot = acc.setdefault(k, [0, 0])
         slot[0] += re * t
         slot[1] += im * t
-    return IntegralValue(LaurentSeries({k: Scalar._raw(re, im, common)
-                                        for k, (re, im) in acc.items()}),
-                         base.rate, n)
+    return IntegralValue._make(LaurentSeries._from_clean(
+        {k: Scalar._raw(re, im, common) for k, (re, im) in acc.items() if re or im}), base.rate, n)
 
 
 def inner0(f: Observable, g: Observable) -> IntegralValue:
@@ -309,7 +309,7 @@ def op_compose(a: SchrodingerOperator, b: SchrodingerOperator) -> SchrodingerOpe
     envelope of sigma_b, and envelope rates add.
     """
     a._check(b)
-    jobs = [(0, 1, 0, w, da.parts[0], db.parts[0]) for _, da, db, w in
+    jobs = [(0, 1, 0, w, da.parts[0, 1], db.parts[0, 1]) for _, da, db, w in
             _leibniz_terms(_Numerators.of(a.symbol), _Numerators.of(b.symbol),
                            [(j, True) for j in range(a.dim)])]
     return SchrodingerOperator._of(GaussianObservable._make(

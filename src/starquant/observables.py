@@ -142,12 +142,12 @@ class _Numerators:
     """An observable or a phase symbol as unreduced numerator pairs, for
     ``_leibniz_terms``.
 
-    ``parts[tau]`` is the ``_numerators()`` pair of the amplitude of
-    e^{i tau S/lambda} (tau = 0 for an observable), all under the envelope
-    exp(-(rn/rd) |q|^2).  Derivatives are integer steps on the pairs and
-    reduce nothing, so ``_products`` takes them as they are; an empty
-    part is dropped, which makes ``is_zero`` exact.  ``grads`` holds the
-    pairs of d_k S for the phase rule; a phase form has no envelope.
+    ``parts[tn, td]`` is the ``_numerators()`` pair of the amplitude of
+    e^{i (tn/td) S/lambda} in lowest terms ((0, 1) for an observable), all
+    under the envelope exp(-(rn/rd) |q|^2).  Derivatives are integer steps
+    on the pairs and reduce nothing, so ``_products`` takes them as they
+    are; an empty part is dropped, which makes ``is_zero`` exact.  ``grads``
+    holds the pairs of d_k S for the phase rule; a phase form has no envelope.
     """
 
     __slots__ = ("parts", "rn", "rd", "grads")
@@ -160,7 +160,7 @@ class _Numerators:
     @staticmethod
     def of(f: "Observable") -> "_Numerators":
         obs = GaussianObservable.of(f)
-        return _Numerators({0: obs.body._numerators()} if obs.body.terms else {}, obs.rate)
+        return _Numerators({(0, 1): obs.body._numerators()} if obs.body.terms else {}, obs.rate)
 
     def _with(self, parts: dict) -> "_Numerators":
         out = object.__new__(_Numerators)
@@ -185,9 +185,8 @@ class _Numerators:
     def diff_q(self, index: int) -> "_Numerators":
         rn, rd, parts = self.rn, self.rd, {}
         for tau, (den, nums) in self.parts.items():
-            if tau:  # plus i tau lambda^-1 (d_k S) amp from the phase factor
-                top, acc = _products(((-1, 0, tau.numerator, tau.denominator, (den, nums),
-                                       self.grads[index]),))
+            if tau[0]:  # plus i tau lambda^-1 (d_k S) amp from the phase factor
+                top, acc = _products(((-1, 0, *tau, (den, nums), self.grads[index]),))
                 m = top // den
             else:  # over den * rd: the envelope's -2 (rn/rd) q_k comes in below
                 top, acc, m = den * rd, {}, rd
@@ -211,7 +210,7 @@ class _Numerators:
                     else:
                         slot[0] += re * w
                         slot[1] += im * w
-            if tau or rn:  # the two rules may cancel
+            if tau[0] or rn:  # the two rules may cancel
                 acc = {key: v for key, v in acc.items() if v[0] or v[1]}
             if acc:
                 parts[tau] = (top, acc)
@@ -275,7 +274,7 @@ class PhasePolynomial:
         """(L, {key: (re, im)}): the terms as integer numerators over the
         lcm L of their denominators."""
         den = lcm(*(c.den for c in self.terms.values()))
-        return den, {key: (c.re_num * (den // c.den), c.im_num * (den // c.den))
+        return den, {key: (c.re_num * (m := den // c.den), c.im_num * m)
                      for key, c in self.terms.items()}
 
     # -- constructors -------------------------------------------------

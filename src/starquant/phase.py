@@ -25,13 +25,16 @@ agreement is a sharp cross-check of both.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, PhaseMismatch
 from .evolution import ActionData
 from .observables import (GaussianObservable, PhasePolynomial, _leibniz_terms,
                           _Numerators, _sum_of_products)
-from .scalars import Rat, Scalar, i_power
+from .scalars import Rat, Scalar, _frac, i_power
+
+_NO_PHASE = Fraction(0)  # the phase of a plain observable
 
 
 class PhaseSymbol:
@@ -70,11 +73,13 @@ class PhaseSymbol:
     @staticmethod
     def pure_phase(s: ActionData, tau: Rat) -> "PhaseSymbol":
         """The bare symbol e^{i tau S/lambda}."""
-        return PhaseSymbol(s, {Fraction(tau): PhasePolynomial.one(s.dim)})
+        return PhaseSymbol._from_clean(s, {_frac(tau): PhasePolynomial.one(s.dim)})
 
     @staticmethod
     def from_polynomial(s: ActionData, poly: PhasePolynomial) -> "PhaseSymbol":
-        return PhaseSymbol(s, {Fraction(0): poly})
+        if poly.dim != s.dim:
+            raise DimensionMismatch("amplitude dimension != action dimension")
+        return PhaseSymbol._from_clean(s, {_NO_PHASE: poly})
 
     @property
     def dim(self) -> int:
@@ -106,9 +111,10 @@ class PhaseSymbol:
         self._check(other)
         return _per_phase(self.s, ((0, 1, 0, 1, self._numerators(), other._numerators()),))
 
-    def _numerators(self) -> dict[Fraction, tuple[int, dict]]:
-        """{tau: the ``_numerators()`` pair of the amplitude of tau}."""
-        return {tau: amp._numerators() for tau, amp in self.terms.items()}
+    def _numerators(self) -> dict[tuple[int, int], tuple[int, dict]]:
+        """{(tn, td): the ``_numerators()`` pair of the amplitude of tau = tn/td}."""
+        return {(tau.numerator, tau.denominator): amp._numerators()
+                for tau, amp in self.terms.items()}
 
     def diff_q(self, index: int) -> "PhaseSymbol":
         grad, out = self.s.gradient[index], {}
@@ -168,14 +174,17 @@ def _as_symbol(x: "PhaseSymbol | PhasePolynomial | GaussianObservable",
 def _per_phase(s: ActionData, pairs: Iterable[tuple]) -> PhaseSymbol:
     """The sum over pairs (k, re, im, den, f, g) of lambda^k (re + i*im)/den
     times the amplitude products of f and g, two symbols given as
-    {tau: numerator pair}, one ``_sum_of_products`` per phase t1 + t2."""
-    jobs: dict[Fraction, list] = {}
+    {(tn, td): numerator pair}, one ``_sum_of_products`` per phase t1 + t2,
+    added as int pairs in lowest terms; the result's keys are Fractions."""
+    jobs: dict[tuple[int, int], list] = {}
     for k, re, im, den, f, g in pairs:
-        for t1, n1 in f.items():
-            for t2, n2 in g.items():
-                jobs.setdefault(t1 + t2, []).append((k, re, im, den, n1, n2))
+        for (n1, d1), a in f.items():
+            for (n2, d2), b in g.items():
+                n, d = n1 * d2 + n2 * d1, d1 * d2
+                m = gcd(n, d)
+                jobs.setdefault((n // m, d // m), []).append((k, re, im, den, a, b))
     return PhaseSymbol._from_clean(
-        s, {tau: _sum_of_products(s.dim, js) for tau, js in jobs.items()})
+        s, {Fraction(n, d): _sum_of_products(s.dim, js) for (n, d), js in jobs.items()})
 
 
 def phase_star(f: "PhaseSymbol | PhasePolynomial | GaussianObservable",
@@ -218,14 +227,14 @@ def conjugate_by_phase(h: "PhasePolynomial | GaussianObservable", s: ActionData,
         if h.rate != 0:
             raise ValueError("conjugation identity is stated on the polynomial tier")
         h = h.body
-    t = Fraction(t)
+    t = _frac(t)
     left = PhaseSymbol.pure_phase(s, t)
     right = PhaseSymbol.pure_phase(s, -t)
     dressed = phase_star(phase_star(left, h), right)
-    residue = {tau: amp for tau, amp in dressed.terms.items() if tau != 0}
+    residue = {tau: amp for tau, amp in dressed.terms.items() if tau}
     if residue:
         raise PhaseMismatch(f"uncancelled phases remain: {sorted(residue)}")
-    result = dressed.terms.get(Fraction(0), PhasePolynomial.zero(s.dim))
+    result = dressed.terms.get(_NO_PHASE, PhasePolynomial.zero(s.dim))
     if not result.is_zero() and result.min_lambda_order() < 0:
         raise PhaseMismatch("negative lambda orders survived conjugation")
     return result

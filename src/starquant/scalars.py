@@ -152,11 +152,12 @@ class Scalar:
 ZERO = Scalar()
 ONE = Scalar(Fraction(1))
 I = Scalar(Fraction(0), Fraction(1))
+_I_POWERS = (ONE, I, -ONE, -I)
 
 
 def i_power(n: int) -> Scalar:
     """i**n for any integer n, computed exactly."""
-    return (ONE, I, -ONE, -I)[n % 4]
+    return _I_POWERS[n % 4]
 
 
 class LaurentSeries:
@@ -177,6 +178,13 @@ class LaurentSeries:
                 if not s.is_zero():
                     clean[int(k)] = s
         self.terms: dict[int, Scalar] = clean
+
+    @staticmethod
+    def _from_clean(terms: dict[int, Scalar]) -> "LaurentSeries":
+        """Trusted constructor: int keys, nonzero ``Scalar``s, taken over."""
+        series = object.__new__(LaurentSeries)
+        series.terms = terms
+        return series
 
     @staticmethod
     def zero() -> "LaurentSeries":
@@ -312,6 +320,13 @@ class IntegralValue:
         self.unit_dim = int(unit_dim)
         if self.unit_rate <= 0:
             raise ValueError("unit rate must be positive")
+
+    @staticmethod
+    def _make(coeff: LaurentSeries, unit_rate: Fraction, unit_dim: int) -> "IntegralValue":
+        """Trusted constructor: ``unit_rate`` a positive ``Fraction``."""
+        value = object.__new__(IntegralValue)
+        value.coeff, value.unit_rate, value.unit_dim = coeff, unit_rate, unit_dim
+        return value
 
     def is_zero(self) -> bool:
         return self.coeff.is_zero()

@@ -57,10 +57,11 @@ with none in some dimension; ``_star_zero_section`` (the star-route inner
 product of ``gns``) and ``_s_map_zero_section`` (its projection and
 factorized inner product) sum the cut jobs, never the p-dependent rest.
 
-Both refuse an input whose tables would cost more than MAX_TABLE_WORK,
-counted from the exponents alone (products, entries and a bound on their
-bits) before any table is built, and one whose entries combined over
-dimensions would hold more than MAX_COMBINED bytes, before any is combined.
+Both kernels refuse, by one rule (``_check_work``), an input whose tables
+would cost more than MAX_TABLE_WORK: the price at its largest q and p
+exponents times its table count bounds the work before any table is built,
+and only past the budget is each table priced.  That price's bits bound the
+entries: past MAX_COMBINED bytes combined, an input is refused as well.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, gcd, lcm, log2
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, DimensionMismatch, figure
 from .observables import GaussianObservable, Observable, PhasePolynomial
@@ -232,31 +233,30 @@ def _largest(f: GaussianObservable) -> tuple[int, int]:
 
 def _exponent_pairs(f: GaussianObservable) -> list[set[tuple[int, int]]]:
     """Per dimension, the distinct (q, p) exponent pairs of f's terms: each
-    pair with one of the other factor's asks for one table there."""
-    if not f.body.terms:
-        return [set() for _ in range(f.dim)]
+    pair with one of the other factor's asks for one table there; f has
+    terms, as only a call whose bound exceeds the budget asks for them."""
     _, alphas, betas = zip(*f.body.terms)
     return [set(zip(qs, ps)) for qs, ps in zip(zip(*alphas), zip(*betas))]
 
 
-def _check_work(what: str, prices: Iterable[Price]) -> tuple[int, int]:
-    """The most bits and the top cost of the priced tables; pricing stops
-    once over budget."""
-    work = bits = top = 0
-    for price in prices:
+def _check_work(what: str, tables: int, largest: Price,
+                priced: Callable[[], Iterable[Price]]) -> None:
+    """Admit a call of ``tables`` tables, none priced above ``largest``, the
+    price at its largest exponents; past that bound ``priced()`` prices each
+    table, and pricing stops once over budget."""
+    work = 0
+    for price in priced() if tables * largest.cost > MAX_TABLE_WORK else ():
         work += price.cost
         if work > MAX_TABLE_WORK:
             raise BudgetExceeded(f"{what}, at least", work, MAX_TABLE_WORK,
                                  "units of table work")
-        bits, top = max(bits, price.bits), max(top, price.cost)
-    return bits, top
 
 
 def _kept(table, top: int):
-    """``table`` when a call's costliest table prices ``top``, at most twice
-    MAX_TABLE_WORK over the cache's slots (the benchmark's top is 152,708);
-    else a cache that lives for the call: one table near the line holds
-    about 16 MB, and twelve such calls that kept theirs peaked at 276 MB."""
+    """``table`` when a call's price at its largest exponents, ``top``, is at
+    most twice MAX_TABLE_WORK over the cache's slots (the benchmark's top is
+    179,478); else a cache that lives for the call: one table near the line
+    holds about 16 MB, and twelve such calls that kept theirs peaked at 276 MB."""
     if top <= 2 * MAX_TABLE_WORK // _CACHE_SIZE:
         return table
     return lru_cache(None)(table.__wrapped__)
@@ -388,16 +388,12 @@ def _star_jobs(f: Observable, g: Observable) -> tuple[int, list, int, Fraction]:
         raise DimensionMismatch(f"dim {fo.dim} vs {go.dim}")
     dim, r, s = fo.dim, fo.rate, go.rate
     rk, sk = (r.numerator, r.denominator), (s.numerator, s.denominator)
-    # all term pairs priced at the largest exponents bound the price, which
-    # grows with each exponent; only past that bound is each table priced
     (a, b), (c, d) = _largest(fo), _largest(go)
-    pairs = len(fo.body.terms) * len(go.body.terms)
     largest = _price((a, d, rk), (c, b, sk))
-    if pairs * dim * largest.cost > MAX_TABLE_WORK:
-        _check_work("the product", (
-            _price((a, d, rk), (c, b, sk))
-            for fk, gk in zip(_exponent_pairs(fo), _exponent_pairs(go))
-            for a, b in fk for c, d in gk))
+    _check_work("the product", len(fo.body.terms) * len(go.body.terms) * dim, largest,
+                lambda: (_price((a, d, rk), (c, b, sk))
+                         for fk, gk in zip(_exponent_pairs(fo), _exponent_pairs(go))
+                         for a, b in fk for c, d in gk))
     table = _kept(_star_table, largest.cost)
     # cf * cg as an integer triple, reduced only in the output
     jobs = [(kf + kg, cf.re_num * cg.re_num - cf.im_num * cg.im_num,
@@ -405,7 +401,7 @@ def _star_jobs(f: Observable, g: Observable) -> tuple[int, list, int, Fraction]:
              [table(af[k], bf[k], rk, ag[k], bg[k], sk) for k in range(dim)])
             for (kf, af, bf), cf in fo.body.terms.items()
             for (kg, ag, bg), cg in go.body.terms.items()]
-    return dim, jobs, largest.bits, r + s
+    return dim, jobs, largest.bits, r + s if r and s else r or s
 
 
 def _moyal(f: Observable, g: Observable, order: int | None = None,
@@ -448,14 +444,15 @@ def _s_jobs(f: Observable, direction: str) -> tuple[int, list, int, Fraction]:
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     obs = GaussianObservable.of(f)
     rk = obs.rate.numerator, obs.rate.denominator
-    width, top = _check_work("the symmetrization map", (
-        _price((a, b, rk)) for pairs in _exponent_pairs(obs) for a, b in pairs))
-    table = _kept(_s_table, top)
+    largest = _price((*_largest(obs), rk))
+    _check_work("the symmetrization map", len(obs.body.terms) * obs.dim, largest,
+                lambda: (_price((a, b, rk)) for pairs in _exponent_pairs(obs) for a, b in pairs))
+    table = _kept(_s_table, largest.cost)
     sign = -1 if direction == "forward" else 1
     jobs = [(k, c.re_num, c.im_num, c.den,
              [table(alpha[j], beta[j], rk, sign) for j in range(obs.dim)])
             for (k, alpha, beta), c in obs.body.terms.items()]
-    return obs.dim, jobs, width, obs.rate
+    return obs.dim, jobs, largest.bits, obs.rate
 
 
 def s_map(f: Observable, direction: str = "forward") -> GaussianObservable:

@@ -4,7 +4,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
 from starquant import BudgetExceeded, GaussianObservable, PhasePolynomial, Scalar
@@ -13,6 +13,10 @@ settings.register_profile(
     "suite", deadline=None, max_examples=50,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+# scripts/mutate.py selects this one (--hypothesis-profile=mutate): a mutant
+# is killed by the first failing example, and shrinking it only costs time
+settings.register_profile("mutate", settings.get_profile("suite"),
+                          phases=[phase for phase in Phase if phase != Phase.shrink])
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalars = st.builds(Scalar, small_fractions, small_fractions)

@@ -38,6 +38,10 @@ derivation, so agreement is evidence rather than tautology:
 * ``exact_poly_at`` evaluates a real q-polynomial at a float point in
   exact rational arithmetic, the reference for the grid tier's
   floating-point evaluator.
+* ``reference_table_work`` is the admission the kernels' largest-first
+  bound replaced: every distinct table of a call priced exactly, in the
+  kernel's order, and the call refused once the running sum passes
+  ``MAX_TABLE_WORK``.
 * ``FractionPair`` is a complex rational kept as two ``Fraction``s, the
   representation ``Scalar`` had before it became an integer triple; it
   is the reference for ``Scalar`` arithmetic, printing and hashing.
@@ -56,6 +60,7 @@ from starquant.gns import MAX_MOMENT_EXPONENT
 from starquant.observables import _compositions, _leibniz_terms
 from starquant.phase import _as_symbol
 from starquant.scalars import I, ONE, ZERO, Scalar, i_power
+from starquant.star import MAX_TABLE_WORK, _price
 
 _HALF_I = Scalar(Fraction(0), Fraction(1, 2))
 
@@ -254,6 +259,37 @@ def reference_s_table(a: int, b: int, rate: Fraction,
         w = Fraction(sign ** m * perm(b, m), 2 ** m * factorial(m))
         out += [(m, x, b - m, w * u) for x, u in _reference_deriv(a, m, rate)]
     return out
+
+
+def _reference_pairs(f: GaussianObservable) -> list[set[tuple[int, int]]]:
+    """Per dimension, the distinct (q, p) exponent pairs of f, in term order."""
+    return [{(alpha[k], beta[k]) for _, alpha, beta in f.body.terms} for k in range(f.dim)]
+
+
+def reference_table_work(f, g=None) -> int:
+    """The table work of s_map(f), or of star(f, g) when g is given, priced
+    table by table: one table a dimension and distinct exponent pair (a pair
+    of pairs for the product).  Past MAX_TABLE_WORK it raises as the kernel
+    does, at the running sum where it passed the limit."""
+    fo = GaussianObservable.of(f)
+    rk = (fo.rate.numerator, fo.rate.denominator)
+    if g is None:
+        what = "the symmetrization map"
+        prices = [_price((a, b, rk)) for pairs in _reference_pairs(fo) for a, b in pairs]
+    else:
+        go = GaussianObservable.of(g)
+        sk = (go.rate.numerator, go.rate.denominator)
+        what = "the product"
+        prices = [_price((a, d, rk), (c, b, sk))
+                  for fk, gk in zip(_reference_pairs(fo), _reference_pairs(go))
+                  for a, b in fk for c, d in gk]
+    work = 0
+    for price in prices:
+        work += price.cost
+        if work > MAX_TABLE_WORK:
+            raise BudgetExceeded(f"{what}, at least", work, MAX_TABLE_WORK,
+                                 "units of table work")
+    return work
 
 
 def reference_pi0(f) -> SchrodingerOperator:

@@ -70,6 +70,13 @@ def test_omega0_examples():
     assert omega0(obs(Q, 1)).is_zero()  # odd moment
     with pytest.raises(NonIntegrable):
         omega0(obs(Q * Q))
+    # moments that cancel leave no order behind: q^2 - 1/(2r) at rate r
+    # integrates to 0 at lambda^0, so the value is lambda (pi/r)^(1/2)
+    r = Fraction(3, 2)
+    value = omega0(obs(Q * Q - PhasePolynomial.constant(1, 1 / (2 * r)) + PhasePolynomial.lam(1),
+                       r))
+    assert value.coeff.terms == {1: Scalar.of(1)}
+    assert omega0(obs(Q * Q - PhasePolynomial.constant(1, 1 / (2 * r)), r)).coeff.terms == {}
 
 
 def test_omega0_two_dimensional_factorizes():

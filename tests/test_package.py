@@ -268,6 +268,16 @@ def test_a_refusal_prints_counts_of_any_size():
                                                                         "units")
 
 
+def test_mutate_kills_a_catalog_mutant():
+    # i_power with i and -i swapped fails the mutant's first test file
+    done = run_script("mutate.py", "--only", "i-power-swapped")
+    assert done.returncode == 0, done.stderr
+    [line] = done.stdout.splitlines()
+    result = json.loads(line)
+    assert (result["mutant"], result["outcome"], result["first_failure"]) == (
+        "i-power-swapped", "killed", "tests/test_scalars.py::test_i_power_cycle")
+
+
 def test_ab_cli_a_against_itself():
     case = assert_a_against_itself("cli", "--pairs", "2", "--", "star", "q", "p")
     assert set(case["metrics"]) == {"wall_s", "peak_rss_mb"}

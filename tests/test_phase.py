@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from starquant import (ActionData, DimensionMismatch, GaussianObservable, PhasePolynomial,
                        PhaseMismatch, PhaseSymbol, Scalar, conjugate_by_phase,
-                       evolve, phase_star)
+                       evolve, omega0, phase_star, s_map, star)
 
 from starquant.observables import _Numerators
 
@@ -43,12 +44,25 @@ def test_phase_constructor_checks_the_amplitude_dimension():
         PhaseSymbol(S_QUAD, {Fraction(1): PhasePolynomial.one(2)})
     with pytest.raises(DimensionMismatch):
         PhaseSymbol(S_QUAD, {Fraction(1): Q, 0: PhasePolynomial.zero(2)})
+    # the lift of a polynomial checks its dimension before the trusted build
+    for h in (PhasePolynomial.one(2), PhasePolynomial.zero(2)):
+        with pytest.raises(DimensionMismatch):
+            PhaseSymbol.from_polynomial(S_QUAD, h)
+        with pytest.raises(DimensionMismatch):
+            conjugate_by_phase(h, S_QUAD, 1)
+    assert PhaseSymbol.from_polynomial(S_QUAD, PhasePolynomial.zero(1)).is_zero()
 
 
 def test_pointwise_mul_adds_phases():
     a = PhaseSymbol.pure_phase(S_QUAD, Fraction(1, 2))
     b = PhaseSymbol.pure_phase(S_QUAD, Fraction(1, 3))
     assert a.pointwise_mul(b) == PhaseSymbol.pure_phase(S_QUAD, Fraction(5, 6))
+    # phase 1 is reached as 1/2 + 1/2 and as 1 + 0: one amplitude, summed
+    one = PhasePolynomial.one(1)
+    c = PhaseSymbol(S_QUAD, {Fraction(1, 2): one, Fraction(1): one})
+    d = PhaseSymbol(S_QUAD, {Fraction(1, 2): one, Fraction(0): one})
+    assert c.pointwise_mul(d) == PhaseSymbol(
+        S_QUAD, {Fraction(1, 2): one, Fraction(1): one.scale(2), Fraction(3, 2): one})
 
 
 def test_phase_derivative_rule():
@@ -271,7 +285,7 @@ def test_phase_route_and_evolution_never_call_the_star_kernel(monkeypatch):
 # -- the phase form of the Leibniz numerator pairs ------------------------
 
 def _symbol(pair: _Numerators, s: ActionData) -> PhaseSymbol:
-    return PhaseSymbol(s, {tau: PhasePolynomial._from_numerators(s.dim, nums, den)
+    return PhaseSymbol(s, {Fraction(*tau): PhasePolynomial._from_numerators(s.dim, nums, den)
                            for tau, (den, nums) in pair.parts.items()})
 
 
@@ -303,3 +317,53 @@ def test_numerator_pair_phase_rule_cancels_to_zero_terms():
     assert list(nums) == [(0, (3,), (0,))]
     assert _symbol(d, S_QUAD) == PhaseSymbol(S_QUAD, {Fraction(1): (Q ** 3).scale(I)})
     assert _symbol(d, S_QUAD) == f.diff_q(0)
+
+
+# -- bookkeeping per call -------------------------------------------------
+
+@contextmanager
+def fraction_calls():
+    """{name: calls} of Fraction.__new__, __hash__ and __add__ inside the block."""
+    counts = dict.fromkeys(("__new__", "__hash__", "__add__"), 0)
+    saved = {name: Fraction.__dict__[name] for name in counts}
+
+    def counting(name):
+        inner = getattr(Fraction, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return call
+
+    for name in counts:
+        setattr(Fraction, name, counting(name))
+    try:
+        yield counts
+    finally:
+        for name, method in saved.items():
+            setattr(Fraction, name, method)
+
+
+def test_fraction_work_per_call_does_not_grow_with_the_input():
+    # phases are int pairs inside the phase star and only its result's keys
+    # are Fractions, so a warm call does the same Fraction work at any size;
+    # phases kept as Fractions added two and hashed more per Leibniz node
+    s, t = ActionData(Q ** 3 + Q * Q * Fraction(1, 2)), Fraction(2, 3)
+    left = PhaseSymbol.pure_phase(s, t)
+    calls = {"conjugate_by_phase": lambda h, base: conjugate_by_phase(h, s, t),
+             "phase_star": lambda h, base: phase_star(left, h),
+             "star": lambda h, base: star(GaussianObservable(h, Fraction(1, 2)),
+                                          GaussianObservable(base, Fraction(1, 3))),
+             "s_map": lambda h, base: s_map(GaussianObservable(h, 1)),
+             "omega0": lambda h, base: omega0(GaussianObservable(h + base, 1))}
+    for name, call in calls.items():
+        counts = []
+        for n in (1, 4, 8):
+            # h = sum_j q^j p^(n-j) and base = sum_j q^j, j <= n
+            h, base = (sum((Q ** j * P ** (k * (n - j)) for j in range(n + 1)),
+                           PhasePolynomial.zero(1)) for k in (1, 0))
+            call(h, base)
+            with fraction_calls() as count:
+                call(h, base)
+            counts.append(count)
+        assert counts[0] == counts[1] == counts[2], (name, counts)

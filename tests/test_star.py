@@ -9,19 +9,20 @@ import time
 from fractions import Fraction
 from math import factorial, gcd, perm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starquant import (BudgetExceeded, EnvelopeMismatch, GaussianObservable,
-                       PhasePolynomial, Scalar, bidiff_M, conjugate, i_power, s_map,
-                       star, star_commutator)
+                       PhasePolynomial, Scalar, bidiff_M, conjugate, i_power,
+                       inner0_factorized, project_H0, s_map, star, star_commutator)
 
-from conftest import observables, polynomials, refused
-from oracles import (bopp_star, reference_bidiff_M, reference_order_bound,
+from conftest import observables, polynomials, refused, scalars
+from oracles import (bopp_star, reference_bidiff_M, reference_omega0, reference_order_bound,
                      reference_s_map, reference_s_table, reference_star,
-                     reference_star_commutator, reference_star_table)
+                     reference_star_commutator, reference_star_table, reference_table_work)
 
 # the module, not the function that the package exports under the same name
 kernel = importlib.import_module("starquant.star")
@@ -439,17 +440,20 @@ def test_combined_entry_count_past_the_float_range_is_refused():
         star(f, g)
 
 
+class Admitted(Exception):
+    """Raised by a kernel step patched to ``_admitted``: the call got past
+    the budget checks before it."""
+
+
+def _admitted(*args):
+    raise Admitted
+
+
 def test_combined_entry_budget_line_falls_between_neighbouring_monomials(monkeypatch):
     # the square of q1^e p1^e q2^e p2^e q3^e p3^e combines about 211 MiB of
     # entries at e = 58, past MAX_COMBINED, and about 199 MiB at e = 57;
     # the price is checked before _combine, so the sentinel marks admission
-    class Admitted(Exception):
-        pass
-
-    def admitted(tables):
-        raise Admitted
-
-    monkeypatch.setattr(kernel, "_combine", admitted)
+    monkeypatch.setattr(kernel, "_combine", _admitted)
 
     def square(e):
         return obs(PhasePolynomial.monomial(3, 0, (e,) * 3, (e,) * 3))
@@ -477,6 +481,8 @@ def test_table_work_budget_counts_each_term_pair_at_its_own_exponents():
                      PhasePolynomial.zero(1)))
     assert star(spread, spread).body.terms
     assert s_map(obs(Q ** 3000 + P ** 3000)) == obs(Q ** 3000 + P ** 3000)
+    # priced at (6000, 6000), s_map's bound is past the line: each table is priced
+    assert s_map(obs(Q ** 6000 + P ** 6000)) == obs(Q ** 6000 + P ** 6000)
 
 
 def test_table_work_budget_admits_large_monomials():
@@ -628,3 +634,102 @@ def test_admitted_monomials_near_the_budget_line_end_within_two_seconds(shape, r
     else:
         s_map(f)
     assert time.perf_counter() - start < 2.0
+
+
+# -- one admission rule for both kernels ---------------------------------
+
+def admission(call) -> tuple | None:
+    """(type, priced, count) of the refusal ``call`` raises, or None when it
+    is admitted; with ``_kept`` patched to ``_admitted``, no table is built."""
+    try:
+        call()
+    except Admitted:
+        pass
+    except BudgetExceeded as error:
+        return type(error), error.priced, error.count
+    return None
+
+
+@st.composite
+def admission_cases(draw):
+    """(small, f, g): two observables of one dim 1-3 at rates 0, 1/2 and 1.
+    Their exponents are all at most 3 (small), or run to past the budget line;
+    a pair of terms q_j^a + p_k^b may put the largest q and the largest p
+    exponent in different terms, which past the line only the exact prices
+    admit."""
+    dim = draw(st.integers(1, 3))
+    small = draw(st.booleans())
+    exponents = (st.integers(0, 3) if small
+                 else st.integers(0, 3) | st.integers(0, 700) | st.integers(0, 6000))
+    split = st.integers(0, 3) if small else st.integers(1000, 6000)
+
+    def power(k: int, e: int) -> tuple[int, ...]:
+        return tuple(e if j == k else 0 for j in range(dim))
+
+    def observable() -> GaussianObservable:
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            key = (draw(st.integers(0, 1)), tuple(draw(exponents) for _ in range(dim)),
+                   tuple(draw(exponents) for _ in range(dim)))
+            terms[key] = draw(scalars)
+        if draw(st.booleans()):
+            zero = (0,) * dim
+            terms[0, power(draw(st.integers(0, dim - 1)), draw(split)), zero] = 1
+            terms[0, zero, power(draw(st.integers(0, dim - 1)), draw(split))] = 1
+        rate = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+        return obs(PhasePolynomial(dim, terms), rate)
+
+    return small, observable(), observable()
+
+
+@given(admission_cases())
+@settings(max_examples=60, deadline=None)
+def test_both_kernels_admit_as_pricing_each_table_does(case):
+    # the largest-first bound decides only where it passes the budget, so
+    # admission, and a refusal's running sum, are those of exact pricing
+    small, f, g = case
+    with mock.patch.object(kernel, "_kept", _admitted):
+        got = (admission(lambda: kernel._s_jobs(f, "forward")),
+               admission(lambda: kernel._star_jobs(f, g)))
+    assert got == (admission(lambda: reference_table_work(f)),
+                   admission(lambda: reference_table_work(f, g)))
+    if small:
+        for direction in ("forward", "backward"):
+            assert s_map(f, direction) == reference_s_map(f, direction)
+        assert project_H0(f) == reference_s_map(f).restrict_zero_section()
+        if f.rate or g.rate:
+            assert inner0_factorized(f, g) == reference_omega0(
+                reference_s_map(conjugate(f), "backward") * reference_s_map(g))
+
+
+def test_two_term_s_map_near_the_table_work_line():
+    # q^a p^a + q^(a-1) p^(a-1): past the bound, each table is priced, and
+    # the two prices sum to 249,877,528 units at a = 3273, 250,029,249 at 3274
+    def f(a):
+        return obs(Q ** a * P ** a + Q ** (a - 1) * P ** (a - 1))
+
+    for cache in (kernel._star_table, kernel._s_table, kernel._one, kernel._price):
+        cache.cache_clear()
+    start = time.perf_counter()
+    with refused("the symmetrization map, at least", 250_029_249, kernel.MAX_TABLE_WORK,
+                 "units of table work"):
+        s_map(f(3274))
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert len(s_map(f(3273)).body.terms) == 3274 + 3273
+    assert time.perf_counter() - start < 2.0
+
+
+def test_s_map_prices_its_entries_at_the_largest_exponents():
+    # the entries' width is the bits of the table at the largest q and p
+    # exponents, as for star: here that of (100, 100), 566 bits, though no
+    # term holds that pair (each table holds at most 35).  161,053 entries
+    # at that width pass MAX_COMBINED; priced at 35 bits, they were admitted
+    dim, zero = 5, (0,) * 5
+    f = obs(PhasePolynomial(dim, {(0, (10,) * dim, (10,) * dim): 1,
+                                  (0, (100,) + zero[1:], zero): 1,
+                                  (0, zero, (100,) + zero[1:]): 1}))
+    assert kernel._price((100, 100, (0, 1))).bits == 566
+    with refused("the symmetrization map, 161053 table entries of up to 2830 bits",
+                 161_053 * (kernel.ENTRY_BYTES + 2830 // 4), kernel.MAX_COMBINED, "bytes"):
+        s_map(f)
